@@ -28,6 +28,7 @@ from .errors import (
     IncompatibleSequenceError,
     IncompatibleSetError,
     InvalidPolynomialError,
+    ScenarioError,
     SequenceFormatError,
     SingularFitError,
     UnsupportedDegreeError,

@@ -64,6 +64,13 @@ def _parse_poly(value, p):
     return taps
 
 
+def _as_int(key, value):
+    """An integer setting from a flag or the config file; anything else is a ConfigError."""
+    if type(value) not in (int, str) or not str(value).removeprefix("-").isdecimal():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _resolve_config(args, family=True) -> RunConfig:
     """Merge defaults, config file, and CLI flags; validate consistency.
 
@@ -85,37 +92,37 @@ def _resolve_config(args, family=True) -> RunConfig:
             merged[key] = value
 
     cfg = RunConfig()
-    cfg.p = int(merged.get("p", cfg.p))
+    cfg.p = _as_int("p", merged.get("p", cfg.p))
     if not sympy.isprime(cfg.p):
         raise ConfigError(f"p={cfg.p} is not prime")
-    cfg.l = int(merged.get("l", cfg.l))
+    cfg.l = _as_int("l", merged.get("l", cfg.l))
     if cfg.l < 1:
         raise ConfigError(f"l={cfg.l} must be positive")
 
     if "M" in merged:
-        M = int(merged["M"])
+        M = _as_int("M", merged["M"])
         b = 1
         while cfg.p**b < M:
             b += 1
         if cfg.p**b != M:
             raise ConfigError(f"M={M} is not a power of p={cfg.p}")
-        if "b" in merged and int(merged["b"]) != b:
+        if "b" in merged and _as_int("b", merged["b"]) != b:
             raise ConfigError(f"b={merged['b']} inconsistent with M={M}=p^{b}")
         cfg.b = b
     else:
-        cfg.b = int(merged.get("b", cfg.b))
+        cfg.b = _as_int("b", merged.get("b", cfg.b))
     if cfg.b < 1:
         raise ConfigError(f"b={cfg.b} must be positive")
 
     if family:
-        cfg.q = int(merged.get("q", cfg.q))
+        cfg.q = _as_int("q", merged.get("q", cfg.q))
         if cfg.q < 1 or cfg.q > cfg.M:
             raise ConfigError(str(FamilySizeError(cfg.q, cfg.M)))
     else:
         cfg.q = 1
 
     if merged.get("tau") is not None:
-        cfg.tau = int(merged["tau"])
+        cfg.tau = _as_int("tau", merged["tau"])
         if not sympy.isprime(cfg.tau):
             raise ConfigError(f"tau={cfg.tau} must be prime")
         if cfg.tau >= cfg.n:
@@ -139,8 +146,8 @@ def _build_sequence(cfg: RunConfig):
     return generate_m_sequence(LfsrConfig(p=cfg.p, taps=taps, seed=seed))
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
+def _out_dir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -153,7 +160,7 @@ def cmd_generate(args) -> int:
     base = build_base_set(mseq, FamilyConfig(q=cfg.q, tau=tau), plan)
     balanced, ledger = cfb_balance(base)
 
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out)
     seqio.write_sequence_set(out / "base.txt", base)
     seqio.write_sequence_set(out / "balanced.txt", balanced)
     if cfg.format == "json":
@@ -169,8 +176,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _resolve_config(args)
-    out = _out_dir(cfg)
+    out = _out_dir(args.out)
     for input_path in args.files:
         sset = seqio.read_sequence_set(input_path)
         profiles = pairwise_profiles(sset)
@@ -182,6 +188,7 @@ def cmd_analyze(args) -> int:
             u, v = profile.pair
             seqio.write_profile_csv(out / f"{stem}.profile.{u}-{v}.csv", profile)
         print(out / f"{stem}.report.json")
+        del sset, profiles, report, profile  # not held while the next file is analyzed
     return 0
 
 
@@ -190,7 +197,7 @@ def cmd_fairness(args) -> int:
     mseq = _build_sequence(cfg)
     plan = FrequencyPlan(p=cfg.p, b=cfg.b)
     report = mean_operation_curve(mseq, plan, tau=cfg.tau)
-    out = _out_dir(cfg)
+    out = _out_dir(cfg.out)
     if cfg.format == "json":
         seqio.write_fairness_json(out / "fairness.json", report)
         print(out / "fairness.json")
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="correlation/histogram reports for sequence files")
     ana.add_argument("files", nargs="+", help="sequence files to analyze")
-    _add_config_flags(ana)
+    ana.add_argument("--out", default=".", help="output directory (default .)")
     ana.set_defaults(func=cmd_analyze)
 
     fair = sub.add_parser("fairness", help="sweep q=1..M and fit the mean-operation trend")

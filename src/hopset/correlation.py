@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import IncompatibleSequenceError
+from .errors import HopsetError, IncompatibleSequenceError
 from .mapping import HopSequence, SequenceSet
 
 AUTO = "auto"
@@ -62,20 +62,31 @@ def hamming_correlation(u: HopSequence, v: HopSequence, delay) -> int:
     return int(np.count_nonzero(u.hops == np.roll(v.hops, -d)))
 
 
-def _profile_values(u_arr, v_arr):
-    n = len(u_arr)
-    doubled = np.concatenate([v_arr, v_arr])
-    return np.array(
-        [np.count_nonzero(u_arr == doubled[d:d + n]) for d in range(n)],
-        dtype=np.int64,
-    )
+def _cross_spectra(matrix, M):
+    """Per member u, (q-u, L//2+1) sums of conj(F_uf) * F_vf, v >= u; F_uf = rfft of 1[u=f]."""
+    q, n = matrix.shape
+    cross = [np.zeros((q - u, n // 2 + 1), dtype=np.complex128) for u in range(q)]
+    for f in range(M):  # one spot's indicator rows and spectra at a time
+        spec = np.fft.rfft(matrix == f, axis=-1)
+        for u in range(q):
+            cross[u] += spec[u].conj() * spec[u:]
+    return cross
+
+
+def _correlate(cross_u, n):
+    """Profiles G_uv(d) = sum_f corr(1[u=f], 1[v=f])(d): the rounded inverse rfft."""
+    real = np.fft.irfft(cross_u, n=n, axis=-1)
+    values = np.rint(real).astype(np.int64)
+    if np.abs(real - values).max() > 0.25:
+        raise HopsetError(f"FFT correlation is not integral at length {n}")
+    values.setflags(write=False)
+    return values
 
 
 def correlation_profile(u: HopSequence, v: HopSequence, pair=None) -> CorrelationProfile:
     """Hamming correlation at every delay; kind is auto when u and v coincide."""
     _check_pair(u, v)
-    values = _profile_values(u.hops, v.hops)
-    values.setflags(write=False)
+    values = _correlate(_cross_spectra(np.array([u.hops, v.hops]), u.plan.M)[0], u.length)[1]
     kind = AUTO if (u is v or np.array_equal(u.hops, v.hops)) else CROSS
     return CorrelationProfile(values=values, kind=kind, pair=pair)
 
@@ -118,42 +129,26 @@ def no_hit_zone_width(sset: SequenceSet) -> int:
     """
     if sset.q == 1:
         return sset.length - 1
-    if verify_orthogonality(sset):
-        return -1
-    matrix = sset.as_matrix()
-    doubled = np.concatenate([matrix, matrix], axis=1)
-    n = sset.length
-    for d in range(1, n):
-        for u in range(sset.q):
-            for v in range(sset.q):
-                if u == v:
-                    continue
-                if np.count_nonzero(matrix[u] == doubled[v, d:d + n]):
-                    return d - 1
-    return n - 1
+    return analyze_set(sset).no_hit_zone
 
 
 def pairwise_profiles(sset: SequenceSet):
     """Profiles for every member pair u <= v, autos included, in index order."""
-    matrix = sset.as_matrix()
+    cross = _cross_spectra(sset.as_matrix(), sset.plan.M)
     profiles = []
     for u in range(sset.q):
-        for v in range(u, sset.q):
-            values = _profile_values(matrix[u], matrix[v])
-            values.setflags(write=False)
-            profiles.append(CorrelationProfile(
-                values=values,
-                kind=AUTO if u == v else CROSS,
-                pair=(u, v),
-            ))
+        # each member's cross-spectra are freed once its profiles exist
+        rows, cross[u] = _correlate(cross[u], sset.length), None
+        for v, values in enumerate(rows, start=u):
+            profiles.append(CorrelationProfile(values, AUTO if u == v else CROSS, (u, v)))
     return profiles
 
 
 def analyze_set(sset: SequenceSet, profiles=None) -> AnalysisReport:
     """Full correlation survey of a set: peak sidelobes, bound, histograms.
 
-    Computes every pairwise profile (cost grows with q^2 * L^2) unless a
-    precomputed list from pairwise_profiles is passed in.
+    Computes every pairwise profile (cost grows with q^2 * M * L log L)
+    unless a precomputed list from pairwise_profiles is passed in.
     """
     matrix = sset.as_matrix()
     q, n = matrix.shape
@@ -161,28 +156,21 @@ def analyze_set(sset: SequenceSet, profiles=None) -> AnalysisReport:
     if profiles is None:
         profiles = pairwise_profiles(sset)
 
+    # a hit at cyclic delay d is also a hit at -(n-d); only delay 0 maps to -1
+    dist = np.minimum(np.arange(n), n - np.arange(n)) - 1
     max_hamming = 0
-    orthogonal = True
     zone = n - 1
     for profile in profiles:
         if profile.kind == AUTO:
-            if n > 1:
-                max_hamming = max(max_hamming, int(profile.values[1:].max()))
-            continue
-        max_hamming = max(max_hamming, int(profile.values.max()))
-        if profile.values[0]:
-            orthogonal = False
-        # a hit at cyclic delay d is also a hit at -(n-d)
-        for d in np.nonzero(profile.values)[0]:
-            d = int(d)
-            zone = min(zone, -1 if d == 0 else min(d, n - d) - 1)
+            max_hamming = max(max_hamming, int(profile.values[1:].max(initial=0)))
+        else:
+            max_hamming = max(max_hamming, int(profile.values.max()))
+            zone = min(zone, int(dist[profile.values != 0].min(initial=zone)))
 
-    if q == 1:
-        zone = n - 1
     return AnalysisReport(
         max_hamming=max_hamming,
         peng_fan=peng_fan_bound(n, q, sset.plan.M),
         histograms=histograms,
         no_hit_zone=zone,
-        orthogonal_at_zero=orthogonal,
+        orthogonal_at_zero=zone >= 0,
     )

@@ -61,5 +61,9 @@ class SequenceFormatError(HopsetError):
         self.column = column
 
 
+class ScenarioError(SequenceFormatError, ValueError):
+    """A simulation scenario lacks hops or sequences, or has bad hops, sequences or offsets."""
+
+
 class ConfigError(HopsetError):
     """Run configuration is inconsistent or incomplete."""

@@ -84,8 +84,9 @@ class SequenceSet:
                 raise HopsetError("set members must share length and plan")
         if self.kind == BALANCED and len(self.members) > 1:
             cols = np.sort(self.as_matrix(), axis=0)
-            if (cols[1:] == cols[:-1]).any():
-                raise HopsetError("balanced set has a column with repeated spots")
+            repeated = np.flatnonzero((cols[1:] == cols[:-1]).any(axis=0))
+            if repeated.size:
+                raise HopsetError(f"balanced set has repeated spots in hop column {repeated[0]}")
 
     @property
     def q(self):

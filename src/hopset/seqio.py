@@ -21,7 +21,7 @@ import numpy as np
 import sympy
 
 from .correlation import AnalysisReport, CorrelationProfile
-from .errors import SequenceFormatError
+from .errors import HopsetError, ScenarioError, SequenceFormatError
 from .mapping import FrequencyPlan, SequenceSet, set_from_matrix
 from .sim import CollisionReport, SimScenario
 
@@ -97,7 +97,10 @@ def read_sequence_set(path) -> SequenceSet:
                 )
             matrix[r, c] = value
             column += len(tok) + 1
-    return set_from_matrix(matrix, plan, kind)
+    try:
+        return set_from_matrix(matrix, plan, kind)
+    except HopsetError as exc:
+        raise SequenceFormatError(str(exc)) from None
 
 
 def write_ledger_csv(path, ledger):
@@ -185,14 +188,12 @@ def load_scenario(path) -> SimScenario:
     """
     path = Path(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or "hops" not in payload or "sequences" not in payload:
-        raise SequenceFormatError("scenario JSON needs 'hops' and 'sequences' keys")
-    seq_path = Path(payload["sequences"])
-    if not seq_path.is_absolute():
-        seq_path = path.parent / seq_path
-    sset = read_sequence_set(seq_path)
-    return SimScenario(
-        sset=sset,
-        hops=int(payload["hops"]),
-        offsets=payload.get("offsets"),
-    )
+    if not isinstance(payload, dict):
+        raise ScenarioError("scenario JSON must hold an object")
+    hops, offsets, sequences = payload.get("hops"), payload.get("offsets"), payload.get("sequences")
+    if type(hops) is not int or type(sequences) is not str:
+        raise ScenarioError(f"need integer 'hops', string 'sequences': {hops!r}, {sequences!r}")
+    if offsets is not None and not (
+            isinstance(offsets, list) and all(type(x) in (int, float) for x in offsets)):
+        raise ScenarioError(f"scenario 'offsets' must be a list of numbers, got {offsets!r}")
+    return SimScenario(sset=read_sequence_set(path.parent / sequences), hops=hops, offsets=offsets)

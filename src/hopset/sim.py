@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IncompatibleSetError, UnsupportedDelayError
+from .errors import IncompatibleSetError, ScenarioError, UnsupportedDelayError
 from .mapping import SequenceSet
 
 
@@ -30,15 +30,13 @@ class SimScenario:
 
     def __post_init__(self):
         if self.hops < 1:
-            raise ValueError(f"hop count must be >= 1, got {self.hops}")
+            raise ScenarioError(f"hop count must be >= 1, got {self.hops}")
         offsets = self.offsets
         if offsets is None:
             offsets = (0.0,) * self.sset.q
         offsets = tuple(float(x) for x in offsets)
         if len(offsets) != self.sset.q:
-            raise ValueError(
-                f"need one offset per user: got {len(offsets)} for q={self.sset.q}"
-            )
+            raise ScenarioError(f"need one offset per user: got {len(offsets)} for q={self.sset.q}")
         for x in offsets:
             if not 0.0 <= x < 1.0:
                 raise UnsupportedDelayError(

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hopset import seqio
 from hopset.cli import main
@@ -107,6 +108,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw", [{"q": "abc"}, {"l": 2.5}, {"M": None}, {"l": True},
+                                 {"tau": [7]}, {"p": {}}])
+def test_non_integer_config_value_is_config_error(tmp_path, capsys, raw):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(raw))
+    code, _, err = run(capsys, "generate", "--config", str(cfg_path), "--out", str(tmp_path))
+    assert code == 2
+    assert json.loads(err)["error"] == "ConfigError"
+
+
 def test_malformed_config_file_is_io_error(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text("{not json")
@@ -132,11 +143,32 @@ def test_analyze_reports(tmp_path, capsys):
     assert len(hist) == 3
 
 
+def test_analyze_reads_the_plan_from_the_file(tmp_path, capsys):
+    # M=4 with q=4: the file header alone sets the plan, no family flags apply
+    run(capsys, "generate", "--l", "6", "--M", "4", "--q", "4", "--out", str(tmp_path))
+    code, _, err = run(capsys, "analyze", str(tmp_path / "balanced.txt"),
+                       "--out", str(tmp_path / "analysis"))
+    assert code == 0, err
+    report = json.loads((tmp_path / "analysis" / "balanced.report.json").read_text())
+    assert len(report["histograms"]) == 4 and len(report["histograms"][0]) == 4
+    with pytest.raises(SystemExit):
+        main(["analyze", str(tmp_path / "balanced.txt"), "--b", "1"])
+
+
 def test_analyze_round_trip_preserves_sets(tmp_path, capsys):
     run(capsys, "generate", *SMALL, "--out", str(tmp_path))
     written = seqio.read_sequence_set(tmp_path / "base.txt")
     again = seqio.read_sequence_set(tmp_path / "base.txt")
     assert np.array_equal(written.as_matrix(), again.as_matrix())
+
+
+def test_analyze_mislabelled_balanced_file_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# M=4 n=3 q=2 kind=balanced\n0,1,2\n3,1,0\n")
+    code, _, err = run(capsys, "analyze", str(bad), "--out", str(tmp_path))
+    assert code == 4
+    payload = json.loads(err)
+    assert payload["error"] == "SequenceFormatError" and "hop column 1" in payload["message"]
 
 
 def test_analyze_malformed_file(tmp_path, capsys):
@@ -189,6 +221,22 @@ def test_simulate_malformed_scenario(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", str(scenario))
     assert code == 4
     assert json.loads(err)["error"] == "JSONDecodeError"
+
+
+@pytest.mark.parametrize("fields", [
+    {"hops": 0},
+    {"hops": "x"},
+    {"hops": 5, "offsets": 3},
+    {"hops": 5, "offsets": [0.0, 0.5]},
+])
+def test_simulate_bad_scenario_is_parse_error(tmp_path, capsys, fields):
+    run(capsys, "generate", *SMALL, "--out", str(tmp_path))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"sequences": "balanced.txt", **fields}))
+    code, out, err = run(capsys, "simulate", str(scenario))
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ScenarioError"
 
 
 def test_simulate_missing_file(tmp_path, capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopset.balancer import cfb_balance
 from hopset.correlation import (
@@ -16,7 +17,7 @@ from hopset.correlation import (
     peng_fan_bound,
     verify_orthogonality,
 )
-from hopset.errors import IncompatibleSequenceError
+from hopset.errors import HopsetError, IncompatibleSequenceError
 from hopset.mapping import BASE, FamilyConfig, FrequencyPlan, build_base_set, set_from_matrix
 
 
@@ -125,6 +126,13 @@ def test_double_counting_identity(small_sets):
                 h_u = np.bincount(mat[u], minlength=4)
                 h_v = np.bincount(mat[v], minlength=4)
                 assert sum(profile) == int(h_u @ h_v)
+
+
+def test_inexact_fft_result_is_a_math_error(small_sets, monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
+    with pytest.raises(HopsetError, match="not integral"):
+        pairwise_profiles(small_sets[0])
 
 
 def test_pairwise_profiles_cover_upper_triangle(small_sets):
@@ -245,3 +253,47 @@ def test_analyze_report_consistency(small_sets):
         assert (report.histograms.sum(axis=1) == sset.length).all()
         # Peng-Fan is a floor under the observed maximum for constructed sets
         assert report.max_hamming >= report.peng_fan
+
+
+# --- property test over p > 2 --------------------------------------------------
+
+@st.composite
+def random_sets(draw):
+    plan = FrequencyPlan(p=draw(st.sampled_from((2, 3, 5))), b=draw(st.integers(1, 2)))
+    q, n = draw(st.integers(1, 5)), draw(st.integers(1, 40))
+    rows = st.lists(st.integers(0, plan.M - 1), min_size=n, max_size=n)
+    return set_from_matrix(draw(st.lists(rows, min_size=q, max_size=q)), plan, BASE)
+
+
+@settings(derandomize=True, deadline=None)
+@given(random_sets())
+def test_fft_engine_matches_bruteforce(sset):
+    mat = sset.as_matrix().tolist()
+    q, n, M = sset.q, sset.length, sset.plan.M
+    naive = {(u, v): naive_profile(mat[u], mat[v]) for u in range(q) for v in range(q)}
+    profiles = pairwise_profiles(sset)
+    assert [p.pair for p in profiles] == [(u, v) for u in range(q) for v in range(u, q)]
+    for p in profiles:
+        u, v = p.pair
+        assert p.values.tolist() == naive[u, v]
+        h_u, h_v = (np.bincount(mat[w], minlength=M) for w in (u, v))
+        assert int(p.values.sum()) == int(h_u @ h_v)
+
+    expected_max = max(max(naive[u, v][1:] if u == v else naive[u, v], default=0)
+                       for u in range(q) for v in range(q))
+    zero = [naive[u, v][0] for u in range(q) for v in range(q) if u != v]
+    if q == 1:
+        expected_zone = n - 1
+    elif any(zero):
+        expected_zone = -1
+    else:
+        hit = [d for d in range(1, n) if any(naive[u, v][d] for u in range(q)
+                                             for v in range(q) if u != v)]
+        expected_zone = hit[0] - 1 if hit else n - 1
+    assert no_hit_zone_width(sset) == expected_zone
+    if n * q == 1:
+        return  # the Peng-Fan bound divides by L*q - 1
+    report = analyze_set(sset, profiles=profiles)
+    assert report.max_hamming == expected_max
+    assert report.orthogonal_at_zero == (not any(zero))
+    assert report.no_hit_zone == expected_zone
