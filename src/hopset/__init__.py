@@ -25,7 +25,6 @@ from .errors import (
     EmptySequenceError,
     FamilySizeError,
     HopsetError,
-    IncompatibleSequenceError,
     IncompatibleSetError,
     InvalidPolynomialError,
     ScenarioError,
@@ -40,13 +39,9 @@ from .mapping import (
     BASE,
     FamilyConfig,
     FrequencyPlan,
-    HopSequence,
     SequenceSet,
     build_base_set,
     default_shift,
-    set_from_matrix,
-    shifted_hop_sequence,
-    tuple_map,
     validate_family,
 )
 from .sim import CollisionReport, SimScenario, compare_sets, simulate

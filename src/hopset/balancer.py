@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .correlation import frequency_histogram
 from .errors import SingularFitError
 from .lfsr import MSequence
 from .mapping import (
@@ -32,7 +33,6 @@ from .mapping import (
     SequenceSet,
     build_base_set,
     default_shift,
-    set_from_matrix,
     validate_family,
 )
 
@@ -73,10 +73,10 @@ def cfb_balance(base: SequenceSet):
         raise ValueError(f"expected a base set, got kind={base.kind!r}")
     validate_family(base.q, base.plan)
 
-    matrix = np.asfortranarray(base.as_matrix())
+    matrix = np.array(base.as_matrix(), order="F")  # the one writable copy
     q, n_hops = matrix.shape
     M = base.plan.M
-    usage = [np.bincount(row, minlength=M).tolist() for row in matrix]
+    usage = frequency_histogram(base).tolist()
     op_count = [0] * q
 
     if q > 1:
@@ -110,7 +110,7 @@ def cfb_balance(base: SequenceSet):
 
     ledger = OperationLedger(op_count=np.array(op_count, dtype=np.int64),
                              usage=np.array(usage, dtype=np.int64))
-    return set_from_matrix(matrix, base.plan, BALANCED), ledger
+    return SequenceSet(matrix, base.plan, BALANCED), ledger
 
 
 def fit_linear(xs, ys):

@@ -17,13 +17,18 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import sympy
-
 from .balancer import cfb_balance, mean_operation_curve
 from .correlation import analyze_set, pairwise_profiles
 from .errors import ConfigError, FamilySizeError, HopsetError, SequenceFormatError
-from .lfsr import LfsrConfig, default_polynomial, generate_m_sequence
-from .mapping import FamilyConfig, FrequencyPlan, build_base_set, default_shift
+from .lfsr import LfsrConfig, default_polynomial, generate_m_sequence, is_prime
+from .mapping import (
+    SIZE_LIMIT,
+    FamilyConfig,
+    FrequencyPlan,
+    build_base_set,
+    default_shift,
+    plan_from_spot_count,
+)
 from . import seqio
 from .sim import simulate
 
@@ -71,11 +76,20 @@ def _as_int(key, value):
     return int(value)
 
 
+def _check_exponent(key, p, e):
+    """Refuse an exponent l or b below 1 or with p^e above SIZE_LIMIT, before p^e is computed."""
+    if e < 1:
+        raise ConfigError(f"{key}={e} must be positive")
+    if e >= SIZE_LIMIT.bit_length() or p**e > SIZE_LIMIT:
+        raise ConfigError(f"{key}={e}: p^{key}={p}^{e} exceeds the limit {SIZE_LIMIT}")
+
+
 def _resolve_config(args, family=True) -> RunConfig:
     """Merge defaults, config file, and CLI flags; validate consistency.
 
     Commands without a family notion (fairness sweeps q internally) skip
-    the q bound check.
+    the q bound check. p, the period n = p^l - 1, M and the set size are
+    refused above SIZE_LIMIT before any of them is factored or allocated.
     """
     merged = {}
     if getattr(args, "config", None):
@@ -93,26 +107,25 @@ def _resolve_config(args, family=True) -> RunConfig:
 
     cfg = RunConfig()
     cfg.p = _as_int("p", merged.get("p", cfg.p))
-    if not sympy.isprime(cfg.p):
-        raise ConfigError(f"p={cfg.p} is not prime")
+    if cfg.p > SIZE_LIMIT or not is_prime(cfg.p):
+        raise ConfigError(f"p={cfg.p} is not a prime up to {SIZE_LIMIT}")
     cfg.l = _as_int("l", merged.get("l", cfg.l))
-    if cfg.l < 1:
-        raise ConfigError(f"l={cfg.l} must be positive")
+    _check_exponent("l", cfg.p, cfg.l)
 
     if "M" in merged:
         M = _as_int("M", merged["M"])
-        b = 1
-        while cfg.p**b < M:
-            b += 1
-        if cfg.p**b != M:
+        try:
+            plan = plan_from_spot_count(M)
+        except HopsetError as exc:
+            raise ConfigError(str(exc)) from None
+        if plan.p != cfg.p:
             raise ConfigError(f"M={M} is not a power of p={cfg.p}")
-        if "b" in merged and _as_int("b", merged["b"]) != b:
-            raise ConfigError(f"b={merged['b']} inconsistent with M={M}=p^{b}")
-        cfg.b = b
+        if "b" in merged and _as_int("b", merged["b"]) != plan.b:
+            raise ConfigError(f"b={merged['b']} inconsistent with M={M}=p^{plan.b}")
+        cfg.b = plan.b
     else:
         cfg.b = _as_int("b", merged.get("b", cfg.b))
-    if cfg.b < 1:
-        raise ConfigError(f"b={cfg.b} must be positive")
+    _check_exponent("b", cfg.p, cfg.b)
 
     if family:
         cfg.q = _as_int("q", merged.get("q", cfg.q))
@@ -120,13 +133,16 @@ def _resolve_config(args, family=True) -> RunConfig:
             raise ConfigError(str(FamilySizeError(cfg.q, cfg.M)))
     else:
         cfg.q = 1
+    entries = (cfg.q if family else cfg.M) * (cfg.n // cfg.b)  # fairness sweeps q up to M
+    if entries > SIZE_LIMIT:
+        raise ConfigError(f"largest set holds {entries} entries, above the limit {SIZE_LIMIT}")
 
     if merged.get("tau") is not None:
         cfg.tau = _as_int("tau", merged["tau"])
-        if not sympy.isprime(cfg.tau):
-            raise ConfigError(f"tau={cfg.tau} must be prime")
         if cfg.tau >= cfg.n:
             raise ConfigError(f"tau={cfg.tau} must be below the period n={cfg.n}")
+        if not is_prime(cfg.tau):
+            raise ConfigError(f"tau={cfg.tau} must be prime")
     if merged.get("poly") is not None:
         cfg.poly = _parse_poly(merged["poly"], cfg.p)
         if len(cfg.poly) != cfg.l + 1:
@@ -270,7 +286,7 @@ def main(argv=None) -> int:
     except (SequenceFormatError, OSError, json.JSONDecodeError) as exc:
         _emit_error(exc)
         return 4
-    except (HopsetError, ZeroDivisionError) as exc:
+    except HopsetError as exc:
         _emit_error(exc)
         return 3
 

@@ -1,7 +1,7 @@
 """Hamming correlation, correlation bound, and set-level quality reports.
 
-The Hamming correlation of two equal-length hop sequences u, v at integer
-delay d counts positional coincidences under a cyclic shift:
+The Hamming correlation of members u, v of one set at integer delay d
+counts positional coincidences under a cyclic shift:
 
     G(d) = |{ i : u(i) == v((i + d) mod L) }|,  0 <= i < L
 
@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import HopsetError, IncompatibleSequenceError
-from .mapping import HopSequence, SequenceSet
+from .errors import HopsetError
+from .mapping import SequenceSet
 
 AUTO = "auto"
 CROSS = "cross"
@@ -27,7 +27,7 @@ class CorrelationProfile:
 
     values: np.ndarray = field(repr=False)
     kind: str
-    pair: tuple = None
+    pair: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,30 +36,22 @@ class AnalysisReport:
 
     max_hamming is the largest correlation over all cross pairs at any
     delay and all members at nonzero auto delay; peng_fan is the exact
-    rational lower bound on that maximum for any set of the same shape.
+    rational lower bound on that maximum for any set of the same shape, or
+    None for a one-member set of one hop (L*q = 1), where it is undefined.
     """
 
     max_hamming: int
-    peng_fan: Fraction
+    peng_fan: Fraction | None
     histograms: np.ndarray
     no_hit_zone: int
     orthogonal_at_zero: bool
 
 
-def _check_pair(u: HopSequence, v: HopSequence):
-    if u.length != v.length:
-        raise IncompatibleSequenceError(
-            f"sequence lengths differ: {u.length} vs {v.length}"
-        )
-    if u.plan != v.plan:
-        raise IncompatibleSequenceError("sequences use different frequency plans")
-
-
-def hamming_correlation(u: HopSequence, v: HopSequence, delay) -> int:
-    """Count positions where u coincides with v cyclically shifted by `delay`."""
-    _check_pair(u, v)
-    d = int(delay) % u.length
-    return int(np.count_nonzero(u.hops == np.roll(v.hops, -d)))
+def hamming_correlation(sset: SequenceSet, u, v, delay) -> int:
+    """Count positions where member u coincides with member v cyclically shifted by `delay`."""
+    matrix = sset.as_matrix()
+    d = int(delay) % sset.length
+    return int(np.count_nonzero(matrix[u] == np.roll(matrix[v], -d)))
 
 
 def _cross_spectra(matrix, M):
@@ -83,12 +75,11 @@ def _correlate(cross_u, n):
     return values
 
 
-def correlation_profile(u: HopSequence, v: HopSequence, pair=None) -> CorrelationProfile:
-    """Hamming correlation at every delay; kind is auto when u and v coincide."""
-    _check_pair(u, v)
-    values = _correlate(_cross_spectra(np.array([u.hops, v.hops]), u.plan.M)[0], u.length)[1]
-    kind = AUTO if (u is v or np.array_equal(u.hops, v.hops)) else CROSS
-    return CorrelationProfile(values=values, kind=kind, pair=pair)
+def correlation_profile(sset: SequenceSet, u, v) -> CorrelationProfile:
+    """Hamming correlation of members u and v at every delay; kind is auto iff u == v."""
+    rows = sset.as_matrix()[[u, v]]
+    values = _correlate(_cross_spectra(rows, sset.plan.M)[0], sset.length)[1]
+    return CorrelationProfile(values=values, kind=AUTO if u == v else CROSS, pair=(u, v))
 
 
 def peng_fan_bound(n_hops, q, M) -> Fraction:
@@ -100,9 +91,9 @@ def peng_fan_bound(n_hops, q, M) -> Fraction:
     return Fraction((n_hops * q - M) * n_hops, (n_hops * q - 1) * M)
 
 
-def frequency_histogram(seq: HopSequence) -> np.ndarray:
-    """Occurrences of each spot 0..M-1; entries sum to the sequence length."""
-    return np.bincount(seq.hops, minlength=seq.plan.M)
+def frequency_histogram(sset: SequenceSet) -> np.ndarray:
+    """q x M occurrences of each spot 0..M-1 per member; every row sums to L."""
+    return np.array([np.bincount(row, minlength=sset.plan.M) for row in sset.as_matrix()])
 
 
 def verify_orthogonality(sset: SequenceSet):
@@ -150,9 +141,7 @@ def analyze_set(sset: SequenceSet, profiles=None) -> AnalysisReport:
     Computes every pairwise profile (cost grows with q^2 * M * L log L)
     unless a precomputed list from pairwise_profiles is passed in.
     """
-    matrix = sset.as_matrix()
-    q, n = matrix.shape
-    histograms = np.array([np.bincount(row, minlength=sset.plan.M) for row in matrix])
+    q, n = sset.q, sset.length
     if profiles is None:
         profiles = pairwise_profiles(sset)
 
@@ -169,8 +158,8 @@ def analyze_set(sset: SequenceSet, profiles=None) -> AnalysisReport:
 
     return AnalysisReport(
         max_hamming=max_hamming,
-        peng_fan=peng_fan_bound(n, q, sset.plan.M),
-        histograms=histograms,
+        peng_fan=peng_fan_bound(n, q, sset.plan.M) if n * q > 1 else None,
+        histograms=frequency_histogram(sset),
         no_hit_zone=zone,
         orthogonal_at_zero=zone >= 0,
     )

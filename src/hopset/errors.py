@@ -33,10 +33,6 @@ class FamilySizeError(HopsetError):
         self.M = M
 
 
-class IncompatibleSequenceError(HopsetError):
-    """Two hop sequences cannot be correlated (length or plan mismatch)."""
-
-
 class IncompatibleSetError(HopsetError):
     """Two sequence sets do not share the same shape (q, length, plan)."""
 

@@ -11,16 +11,12 @@ period p^l - 1 of a maximal-length sequence.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
 from .errors import DegenerateSeedError, InvalidPolynomialError, UnsupportedDegreeError
-
-# Largest state space we verify by walking the register cycle; beyond this the
-# multiplicative-order test is used instead.
-_STATE_WALK_LIMIT = 8192
 
 # Exponents with nonzero coefficients of one primitive polynomial over GF(2)
 # per degree, e.g. (0, 1, 3) is x^3 + x + 1. Classic maximal-LFSR taps.
@@ -84,6 +80,27 @@ def _poly_mod(a, modulus, p):
     return a + [0] * (deg - len(a))
 
 
+def is_prime(k):
+    """Trial division; callers bound k (at most 2^24 from outside) before asking."""
+    if k < 2:
+        return False
+    return all(k % d for d in range(2, math.isqrt(k) + 1))
+
+
+def prime_factors(k):
+    """The distinct prime factors of k, ascending, by trial division; none for k < 2."""
+    factors = []
+    d = 2
+    while d * d <= k:
+        if k % d == 0:
+            factors.append(d)
+            while k % d == 0:
+                k //= d
+        d += 1
+    return factors + [k] if k > 1 else factors
+
+
+@functools.lru_cache(maxsize=None)
 def _x_order_is_maximal(p, taps):
     """True iff x has multiplicative order p^l - 1 in GF(p)[x]/(taps).
 
@@ -108,60 +125,22 @@ def _x_order_is_maximal(p, taps):
     one = [1] + [0] * (l - 1)
     if x_pow(n) != one:
         return False
-    return all(x_pow(n // r) != one for r in sympy.factorint(n))
-
-
-def _lfsr_step_fn(p, taps):
-    """Build a single-step feedback function state -> next symbol."""
-    l = len(taps) - 1
-    inv_lead = pow(taps[-1], -1, p)
-    terms = [(i, c) for i, c in enumerate(taps[:-1]) if c]
-
-    def step(state):
-        acc = 0
-        for i, c in terms:
-            acc += c * state[i]
-        return (-acc * inv_lead) % p
-
-    return step
-
-
-def _state_cycle_is_maximal(p, taps):
-    """Walk the register from a nonzero state; True iff the cycle has length p^l - 1."""
-    l = len(taps) - 1
-    n = p**l - 1
-    step = _lfsr_step_fn(p, taps)
-    start = (1,) + (0,) * (l - 1)
-    state = start
-    for count in range(1, n + 1):
-        state = state[1:] + (step(state),)
-        if state == start:
-            return count == n
-    return False
-
-
-@functools.lru_cache(maxsize=None)
-def _is_primitive(p, taps):
-    if p ** (len(taps) - 1) <= _STATE_WALK_LIMIT:
-        return _state_cycle_is_maximal(p, taps)
-    return _x_order_is_maximal(p, taps)
+    return all(x_pow(n // r) != one for r in prime_factors(n))
 
 
 def validate_primitive_polynomial(p, taps):
     """Check whether `taps` is a primitive polynomial over GF(p).
 
     Returns True iff the LFSR with this characteristic polynomial cycles
-    through all p^l - 1 nonzero states from any nonzero seed. Small state
-    spaces are verified by walking the cycle directly; larger ones by the
-    equivalent multiplicative-order test.
+    through all p^l - 1 nonzero states from any nonzero seed, which holds
+    exactly when x has multiplicative order p^l - 1 modulo the polynomial.
 
     Raises InvalidPolynomialError for malformed input (degree 0, leading
     coefficient 0, coefficients outside [0, p)).
     """
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise InvalidPolynomialError(f"modulus p={p} is not prime")
-    taps = _check_poly_shape(p, taps)
-    return _is_primitive(p, taps)
+    return _x_order_is_maximal(p, _check_poly_shape(p, taps))
 
 
 def default_polynomial(p, l):

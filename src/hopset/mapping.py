@@ -7,19 +7,23 @@ symbols with little-endian base-p weights:
 
 A base set of q sequences reuses one mother m-sequence, cyclically rotated
 by a*tau symbols for member a, so all members share the same length and
-frequency plan.
+frequency plan. A set is one q x L array of spot indices, row a for member a.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from .errors import EmptySequenceError, FamilySizeError, HopsetError
-from .lfsr import MSequence
+from .lfsr import MSequence, is_prime, prime_factors
 
 BASE = "base"
 BALANCED = "balanced"
+
+# Largest p, period n, spot count M and set size q*L taken from a command
+# line or a file header: trial division stays fast and no array is sized
+# from an unchecked number.
+SIZE_LIMIT = 2**24
 
 
 @dataclass(frozen=True)
@@ -30,7 +34,7 @@ class FrequencyPlan:
     b: int
 
     def __post_init__(self):
-        if not sympy.isprime(self.p):
+        if not is_prime(self.p):
             raise HopsetError(f"plan modulus p={self.p} is not prime")
         if self.b < 1:
             raise HopsetError(f"tuple width b={self.b} must be positive")
@@ -38,18 +42,6 @@ class FrequencyPlan:
     @property
     def M(self):
         return self.p**self.b
-
-
-@dataclass(frozen=True, eq=False)
-class HopSequence:
-    """A sequence of frequency-spot indices, one per hop."""
-
-    hops: np.ndarray = field(repr=False)
-    plan: FrequencyPlan
-
-    @property
-    def length(self):
-        return len(self.hops)
 
 
 @dataclass(frozen=True)
@@ -62,63 +54,63 @@ class FamilyConfig:
     def __post_init__(self):
         if self.q < 1:
             raise FamilySizeError(self.q)
-        if not sympy.isprime(self.tau):
+        if not is_prime(self.tau):
             raise HopsetError(f"shift tau={self.tau} must be prime")
 
 
-@dataclass(frozen=True, eq=False)
 class SequenceSet:
-    """An ordered family of hop sequences sharing one plan and length."""
+    """An ordered family of q hop sequences sharing one plan and length L.
 
-    members: tuple
-    kind: str
+    The hops live in one read-only q x L int64 array, a private copy of the
+    matrix the set was built from; row a is member a.
+    """
 
-    def __post_init__(self):
-        if self.kind not in (BASE, BALANCED):
-            raise HopsetError(f"unknown set kind {self.kind!r}")
-        if not self.members:
-            raise HopsetError("sequence set needs at least one member")
-        first = self.members[0]
-        for m in self.members[1:]:
-            if m.length != first.length or m.plan != first.plan:
-                raise HopsetError("set members must share length and plan")
-        if self.kind == BALANCED and len(self.members) > 1:
-            cols = np.sort(self.as_matrix(), axis=0)
+    def __init__(self, matrix, plan: FrequencyPlan, kind):
+        if kind not in (BASE, BALANCED):
+            raise HopsetError(f"unknown set kind {kind!r}")
+        hops = np.array(matrix, dtype=np.int64, order="C")
+        if hops.ndim != 2:
+            raise HopsetError(f"a sequence set is a q x L matrix, got {hops.ndim} dimensions")
+        if not hops.size:
+            raise HopsetError("sequence set needs at least one member and one hop")
+        if kind == BALANCED and len(hops) > 1:
+            cols = np.sort(hops, axis=0)
             repeated = np.flatnonzero((cols[1:] == cols[:-1]).any(axis=0))
             if repeated.size:
                 raise HopsetError(f"balanced set has repeated spots in hop column {repeated[0]}")
+        hops.setflags(write=False)
+        self._hops, self.plan, self.kind = hops, plan, kind
 
     @property
     def q(self):
-        return len(self.members)
+        return self._hops.shape[0]
 
     @property
     def length(self):
-        return self.members[0].length
-
-    @property
-    def plan(self):
-        return self.members[0].plan
+        return self._hops.shape[1]
 
     def as_matrix(self):
-        """Stack members into a q x length array (copy, rows in member order)."""
-        return np.array([m.hops for m in self.members], dtype=np.int64)
-
-
-def set_from_matrix(matrix, plan, kind):
-    """Build a SequenceSet from a q x length array of spot indices."""
-    members = []
-    for row in np.asarray(matrix, dtype=np.int64):
-        hops = row.copy()
-        hops.setflags(write=False)
-        members.append(HopSequence(hops=hops, plan=plan))
-    return SequenceSet(members=tuple(members), kind=kind)
+        """The stored q x length array, rows in member order (read-only, not a copy)."""
+        return self._hops
 
 
 def validate_family(q, plan: FrequencyPlan):
     """Raise FamilySizeError unless 1 <= q <= M."""
     if q < 1 or q > plan.M:
         raise FamilySizeError(q, plan.M)
+
+
+def plan_from_spot_count(M) -> FrequencyPlan:
+    """Recover the (p, b) plan from M = p^b; unique since p is prime."""
+    if M > SIZE_LIMIT:
+        raise HopsetError(f"spot count M={M} exceeds the limit {SIZE_LIMIT}")
+    factors = prime_factors(M)
+    if len(factors) != 1:
+        raise HopsetError(f"spot count M={M} is not a prime power")
+    p, b = factors[0], 1
+    while p**b < M:
+        b += 1
+    return FrequencyPlan(p=p, b=b)
 
 
 def default_shift(n, q):
@@ -130,50 +122,33 @@ def default_shift(n, q):
     """
     if n < 3:
         raise HopsetError(f"period n={n} admits no prime shift below it")
-    k = max(n // q, 2)
-    tau = k if sympy.isprime(k) else int(sympy.nextprime(k))
+    tau = max(n // q, 2)
+    while not is_prime(tau):
+        tau += 1
     if tau >= n:
-        tau = int(sympy.prevprime(n))
+        tau = n - 1
+        while not is_prime(tau):
+            tau -= 1
     return tau
 
 
-def _map_words(symbols, plan: FrequencyPlan):
-    n = len(symbols)
-    if plan.b >= n:
-        raise EmptySequenceError(f"tuple width b={plan.b} too large for period n={n}")
-    n_hops = n // plan.b
-    words = np.asarray(symbols[: n_hops * plan.b]).reshape(n_hops, plan.b)
-    weights = plan.p ** np.arange(plan.b, dtype=np.int64)
-    hops = words @ weights
-    hops.setflags(write=False)
-    return hops
-
-
-def tuple_map(mseq: MSequence, plan: FrequencyPlan) -> HopSequence:
-    """Map an m-sequence to hops word by word; trailing n mod b symbols are dropped."""
-    if plan.p != mseq.p:
-        raise HopsetError(f"plan modulus p={plan.p} differs from sequence modulus {mseq.p}")
-    return HopSequence(hops=_map_words(mseq.symbols, plan), plan=plan)
-
-
-def shifted_hop_sequence(mseq: MSequence, a, fam: FamilyConfig, plan: FrequencyPlan) -> HopSequence:
-    """Member a of the family: the tuple map of the mother sequence rotated by a*tau.
-
-    hop(j) = sum_i s((a*tau + j*b + i) mod n) * p^i, so a=0 reproduces
-    tuple_map exactly and every member has the same length floor(n/b).
-    """
-    if a < 0 or a >= fam.q:
-        raise IndexError(f"member index {a} outside family of size {fam.q}")
-    if plan.p != mseq.p:
-        raise HopsetError(f"plan modulus p={plan.p} differs from sequence modulus {mseq.p}")
-    if fam.tau >= mseq.n:
-        raise HopsetError(f"shift tau={fam.tau} must be smaller than period n={mseq.n}")
-    rotated = np.roll(mseq.symbols, -(a * fam.tau) % mseq.n)
-    return HopSequence(hops=_map_words(rotated, plan), plan=plan)
-
-
 def build_base_set(mseq: MSequence, fam: FamilyConfig, plan: FrequencyPlan) -> SequenceSet:
-    """Construct the (generally non-orthogonal) base set of q rotated members."""
+    """Construct the (generally non-orthogonal) base set of q rotated members.
+
+    hop_a(j) = sum_i s((a*tau + j*b + i) mod n) * p^i: the word starting at
+    symbol k is W(k) = sum_i s((k + i) mod n) * p^i, so member a reads W at
+    the starts a*tau + j*b; trailing n mod b symbols of each rotation go unused.
+    """
     validate_family(fam.q, plan)
-    members = tuple(shifted_hop_sequence(mseq, a, fam, plan) for a in range(fam.q))
-    return SequenceSet(members=members, kind=BASE)
+    n, b = mseq.n, plan.b
+    if plan.p != mseq.p:
+        raise HopsetError(f"plan modulus p={plan.p} differs from sequence modulus {mseq.p}")
+    if fam.tau >= n:
+        raise HopsetError(f"shift tau={fam.tau} must be smaller than period n={n}")
+    if b >= n:
+        raise EmptySequenceError(f"tuple width b={b} too large for period n={n}")
+    words = np.zeros(n, dtype=np.int64)
+    for i in range(b):
+        words += np.roll(mseq.symbols, -i) * plan.p**i
+    starts = (np.arange(fam.q)[:, None] * fam.tau + np.arange(n // b) * b) % n
+    return SequenceSet(words[starts], plan, BASE)

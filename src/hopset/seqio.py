@@ -14,15 +14,13 @@ import json
 import os
 import re
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import sympy
 
 from .correlation import AnalysisReport, CorrelationProfile
 from .errors import HopsetError, ScenarioError, SequenceFormatError
-from .mapping import FrequencyPlan, SequenceSet, set_from_matrix
+from .mapping import SIZE_LIMIT, SequenceSet, plan_from_spot_count
 from .sim import CollisionReport, SimScenario
 
 _HEADER_RE = re.compile(r"^#\s*M=(\d+)\s+n=(\d+)\s+q=(\d+)\s+kind=(base|balanced)\s*$")
@@ -40,19 +38,9 @@ def _atomic_write_text(path, text):
         raise
 
 
-def plan_from_spot_count(M) -> FrequencyPlan:
-    """Recover the (p, b) plan from M = p^b; unique since p is prime."""
-    factors = sympy.factorint(int(M))
-    if len(factors) != 1:
-        raise SequenceFormatError(f"spot count M={M} is not a prime power")
-    (p, b), = factors.items()
-    return FrequencyPlan(p=int(p), b=int(b))
-
-
 def write_sequence_set(path, sset: SequenceSet):
     lines = [f"# M={sset.plan.M} n={sset.length} q={sset.q} kind={sset.kind}"]
-    for member in sset.members:
-        lines.append(",".join(str(int(h)) for h in member.hops))
+    lines += [",".join(map(str, row.tolist())) for row in sset.as_matrix()]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -68,7 +56,12 @@ def read_sequence_set(path) -> SequenceSet:
             "expected header '# M=<M> n=<n> q=<q> kind=<base|balanced>'", line=1
         )
     M, n, q, kind = int(match[1]), int(match[2]), int(match[3]), match[4]
-    plan = plan_from_spot_count(M)
+    try:
+        plan = plan_from_spot_count(M)
+    except HopsetError as exc:
+        raise SequenceFormatError(str(exc), line=1) from None
+    if q * n > SIZE_LIMIT:
+        raise SequenceFormatError(f"set size q*n={q * n} exceeds the limit {SIZE_LIMIT}", line=1)
 
     rows = [line for line in lines[1:] if line.strip()]
     if len(rows) != q:
@@ -76,15 +69,13 @@ def read_sequence_set(path) -> SequenceSet:
             f"header promises q={q} sequences but file holds {len(rows)}",
             line=len(lines),
         )
+    for r, row in enumerate(rows):  # before any array is sized from the header
+        if (found := row.count(",") + 1) != n:
+            raise SequenceFormatError(f"expected {n} entries, found {found}", line=r + 2)
     matrix = np.empty((q, n), dtype=np.int64)
     for r, row in enumerate(rows):
-        fields = row.split(",")
-        if len(fields) != n:
-            raise SequenceFormatError(
-                f"expected {n} entries, found {len(fields)}", line=r + 2
-            )
         column = 1
-        for c, tok in enumerate(fields):
+        for c, tok in enumerate(row.split(",")):
             try:
                 value = int(tok)
             except ValueError:
@@ -98,7 +89,7 @@ def read_sequence_set(path) -> SequenceSet:
             matrix[r, c] = value
             column += len(tok) + 1
     try:
-        return set_from_matrix(matrix, plan, kind)
+        return SequenceSet(matrix, plan, kind)
     except HopsetError as exc:
         raise SequenceFormatError(str(exc)) from None
 
@@ -154,10 +145,10 @@ def write_histograms_csv(path, histograms):
 
 
 def analysis_report_payload(report: AnalysisReport) -> dict:
-    bound: Fraction = report.peng_fan
+    bound = report.peng_fan
     return {
         "max_hamming": report.max_hamming,
-        "peng_fan_bound": {
+        "peng_fan_bound": None if bound is None else {
             "numerator": bound.numerator,
             "denominator": bound.denominator,
             "decimal": round(float(bound), 4),

@@ -21,7 +21,6 @@ from hopset.mapping import (
     FrequencyPlan,
     build_base_set,
     default_shift,
-    tuple_map,
     validate_family,
 )
 from hopset.sim import SimScenario, simulate
@@ -71,7 +70,7 @@ def family16(ms14, plan16):
 def test_criterion_1_scale_reproduction():
     start = time.perf_counter()
     ms = make_mseq(14)
-    hops = tuple_map(ms, FrequencyPlan(p=2, b=4))
+    hops = build_base_set(ms, FamilyConfig(q=1, tau=2), FrequencyPlan(p=2, b=4))
     elapsed = time.perf_counter() - start
     ok = ms.n == 16383 and hops.length == 4095 and hops.plan.M == 16 and elapsed < 1.0
     report(1, "scale reproduction p=2 l=14 b=4",
@@ -170,8 +169,8 @@ def test_criterion_6_autocorrelation_preservation(family16):
     ok = True
     worst = 0.0
     for a in range(5):
-        auto_before = correlation_profile(base.members[a], base.members[a]).values
-        auto_after = correlation_profile(balanced.members[a], balanced.members[a]).values
+        auto_before = correlation_profile(base, a, a).values
+        auto_after = correlation_profile(balanced, a, a).values
         if auto_before[0] != 4095 or auto_after[0] != 4095:
             ok = False
         mean_diff = float(np.abs(auto_before - auto_after).mean())
@@ -204,8 +203,7 @@ def test_criterion_8_simulator_matches_analysis(family16):
         rep = simulate(SimScenario(sset=sset, hops=sset.length))
         for u in range(5):
             for v in range(u + 1, 5):
-                if rep.per_pair[u, v] != hamming_correlation(
-                        sset.members[u], sset.members[v], 0):
+                if rep.per_pair[u, v] != hamming_correlation(sset, u, v, 0):
                     ok = False
     balanced_total = simulate(SimScenario(sset=balanced, hops=4095)).total_collisions
     ok = ok and balanced_total == 0
@@ -226,7 +224,7 @@ def test_criterion_9_bruteforce_oracle_equivalence():
             for u in range(q):
                 for v in range(q):
                     rows_u, rows_v = mat[u].tolist(), mat[v].tolist()
-                    profile = correlation_profile(sset.members[u], sset.members[v]).values
+                    profile = correlation_profile(sset, u, v).values
                     naive = [naive_hamming(rows_u, rows_v, d) for d in range(sset.length)]
                     if profile.tolist() != naive:
                         ok = False

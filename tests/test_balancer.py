@@ -8,8 +8,8 @@ from hopset.mapping import (
     BASE,
     FamilyConfig,
     FrequencyPlan,
+    SequenceSet,
     build_base_set,
-    set_from_matrix,
 )
 
 from conftest import make_mseq
@@ -29,7 +29,7 @@ def test_single_member_passes_through(ms6, plan_b2):
 def test_hand_traced_two_member_collision(plan_b2):
     # column 0 collides on spot 1; equal operation counts, so the lower
     # index keeps and member 1 moves to its least-used free spot 0
-    base = set_from_matrix([[1, 2], [1, 3]], plan_b2, BASE)
+    base = SequenceSet([[1, 2], [1, 3]], plan_b2, BASE)
     balanced, ledger = cfb_balance(base)
     assert balanced.as_matrix().tolist() == [[1, 2], [0, 3]]
     assert ledger.op_count.tolist() == [0, 1]
@@ -39,7 +39,7 @@ def test_hand_traced_two_member_collision(plan_b2):
 def test_hand_traced_most_operated_keeps(plan_b2):
     # both columns collide; after column 0 member 1 has one operation, so
     # in column 1 it keeps the spot and member 0 moves instead
-    base = set_from_matrix([[1, 1], [1, 1]], plan_b2, BASE)
+    base = SequenceSet([[1, 1], [1, 1]], plan_b2, BASE)
     balanced, ledger = cfb_balance(base)
     assert balanced.as_matrix().tolist() == [[1, 0], [0, 1]]
     assert ledger.op_count.tolist() == [1, 1]
@@ -108,13 +108,13 @@ def test_balancing_is_deterministic(ms6, plan_b2):
 
 
 def test_rejects_non_base_input(plan_b2):
-    balanced = set_from_matrix([[0, 1], [1, 2]], plan_b2, BALANCED)
+    balanced = SequenceSet([[0, 1], [1, 2]], plan_b2, BALANCED)
     with pytest.raises(ValueError):
         cfb_balance(balanced)
 
 
 def test_rejects_oversized_family(plan_b2):
-    base = set_from_matrix([[0], [1], [2], [3], [0]], plan_b2, BASE)
+    base = SequenceSet([[0], [1], [2], [3], [0]], plan_b2, BASE)
     with pytest.raises(FamilySizeError):
         cfb_balance(base)
 

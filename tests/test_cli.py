@@ -1,12 +1,17 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from hopset import seqio
-from hopset.cli import main
+from hopset.cli import _resolve_config, build_parser, main
+from hopset.errors import ConfigError
+from hopset.mapping import SIZE_LIMIT
 
 SMALL = ["--l", "6", "--b", "2", "--q", "3"]
+PRIME_30_DIGITS = str(10**29 + 319)
 
 
 def run(capsys, *argv):
@@ -72,6 +77,35 @@ def test_inconsistent_b_and_m_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--l", "6", "--M", "6", "--q", "3",
                        "--out", str(tmp_path))
     assert code == 2
+    # M=9 is a prime power, but of 3, not of --p 2
+    code, _, err = run(capsys, "generate", "--l", "6", "--M", "9", "--q", "3",
+                       "--out", str(tmp_path))
+    assert code == 2 and "not a power of p=2" in json.loads(err)["message"]
+
+
+def resolve(*argv):
+    return _resolve_config(build_parser().parse_args(["generate", *argv]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--l", "64"],
+    ["--l", "25"],
+    ["--b", "40"],
+    ["--p", "3", "--l", "16"],
+    ["--p", PRIME_30_DIGITS, "--l", "1", "--b", "1", "--q", "1"],
+    ["--M", str(2**40)],
+    ["--l", "22", "--M", "64", "--q", "64"],
+    ["--l", "18", "--M", "64", "--q", "64", "--tau", PRIME_30_DIGITS],
+])
+def test_oversized_numbers_rejected_before_work(argv):
+    with pytest.raises(ConfigError):
+        resolve(*argv)
+
+
+def test_largest_acceptance_config_within_limits():
+    cfg = resolve("--l", "18", "--M", "64", "--q", "64")
+    assert (cfg.n, cfg.M, cfg.q) == (2**18 - 1, 64, 64)
+    assert resolve("--l", "24", "--b", "1", "--q", "1").n == SIZE_LIMIT - 1
 
 
 def test_explicit_polynomial_accepted(tmp_path, capsys):
@@ -171,6 +205,43 @@ def test_analyze_mislabelled_balanced_file_is_parse_error(tmp_path, capsys):
     assert payload["error"] == "SequenceFormatError" and "hop column 1" in payload["message"]
 
 
+@pytest.mark.parametrize("header", [
+    f"# M={2**40} n=2 q=1 kind=base",
+    f"# M=4 n={SIZE_LIMIT + 1} q=1 kind=base",
+    f"# M=4 n={SIZE_LIMIT // 2 + 1} q=2 kind=base",
+])
+def test_analyze_oversized_header_is_parse_error(tmp_path, capsys, header):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(header + "\n0,1\n1,0\n")
+    code, _, err = run(capsys, "analyze", str(bad), "--out", str(tmp_path))
+    assert code == 4
+    payload = json.loads(err)
+    assert payload["error"] == "SequenceFormatError" and "exceeds the limit" in payload["message"]
+
+
+def test_analyze_one_member_one_hop(tmp_path, capsys):
+    # L*q = 1: the Peng-Fan bound is undefined and reported as null
+    code, _, err = run(capsys, "generate", "--l", "2", "--b", "2", "--q", "1",
+                       "--poly", "1,1,1", "--out", str(tmp_path))
+    assert code == 0, err
+    assert (tmp_path / "balanced.txt").read_text().startswith("# M=4 n=1 q=1 kind=balanced\n")
+    code, _, err = run(capsys, "analyze", str(tmp_path / "balanced.txt"),
+                       "--out", str(tmp_path / "analysis"))
+    assert code == 0, err
+    report = json.loads((tmp_path / "analysis" / "balanced.report.json").read_text())
+    assert report["peng_fan_bound"] is None
+    assert report["max_hamming"] == 0 and report["no_hit_zone"] == 0
+
+
+def test_cli_import_loads_no_dependency_but_numpy():
+    probe = ("import sys; before = set(sys.modules); import hopset.cli; "
+             "print(*{m.split('.')[0] for m in set(sys.modules) - before}"
+             " - set(sys.stdlib_module_names))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert set(done.stdout.split()) == {"hopset", "numpy"}
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("# M=4 n=2 q=1 kind=base\n0,9\n")
@@ -211,8 +282,7 @@ def test_simulate_base_counts_match_correlation(tmp_path, capsys):
     base = seqio.read_sequence_set(tmp_path / "base.txt")
     for u in range(3):
         for v in range(u + 1, 3):
-            assert payload["per_pair"][u][v] == hamming_correlation(
-                base.members[u], base.members[v], 0)
+            assert payload["per_pair"][u][v] == hamming_correlation(base, u, v, 0)
 
 
 def test_simulate_malformed_scenario(tmp_path, capsys):

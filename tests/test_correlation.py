@@ -17,8 +17,8 @@ from hopset.correlation import (
     peng_fan_bound,
     verify_orthogonality,
 )
-from hopset.errors import HopsetError, IncompatibleSequenceError
-from hopset.mapping import BASE, FamilyConfig, FrequencyPlan, build_base_set, set_from_matrix
+from hopset.errors import HopsetError
+from hopset.mapping import BASE, FamilyConfig, FrequencyPlan, SequenceSet, build_base_set
 
 
 # --- independent oracle ---------------------------------------------------
@@ -32,10 +32,6 @@ def naive_profile(u, v):
     return [naive_hamming(u, v, d) for d in range(len(u))]
 
 
-def hop_seq(values, plan):
-    return set_from_matrix([values], plan, BASE).members[0]
-
-
 @pytest.fixture(scope="module")
 def small_sets(ms6, plan_b2):
     base = build_base_set(ms6, FamilyConfig(q=4, tau=7), plan_b2)
@@ -46,15 +42,13 @@ def small_sets(ms6, plan_b2):
 # --- hamming correlation --------------------------------------------------
 
 def test_hand_counted_zero_delay(plan_b2):
-    u = hop_seq([0, 1, 2], plan_b2)
-    v = hop_seq([0, 2, 1], plan_b2)
-    assert hamming_correlation(u, v, 0) == 1
+    sset = SequenceSet([[0, 1, 2], [0, 2, 1]], plan_b2, BASE)
+    assert hamming_correlation(sset, 0, 1, 0) == 1
 
 
 def test_auto_peak_equals_length(ms6, plan_b2):
-    from hopset.mapping import tuple_map
-    seq = tuple_map(ms6, plan_b2)
-    assert hamming_correlation(seq, seq, 0) == 31
+    sset = build_base_set(ms6, FamilyConfig(q=1, tau=5), plan_b2)
+    assert hamming_correlation(sset, 0, 0, 0) == 31
 
 
 def test_matches_naive_counts(small_sets):
@@ -64,22 +58,14 @@ def test_matches_naive_counts(small_sets):
         for u in range(sset.q):
             for v in range(sset.q):
                 for d in (0, 1, 7, 30):
-                    got = hamming_correlation(sset.members[u], sset.members[v], d)
+                    got = hamming_correlation(sset, u, v, d)
                     assert got == naive_hamming(mat[u].tolist(), mat[v].tolist(), d)
 
 
 def test_delay_wraps_cyclically(small_sets):
     base, _ = small_sets
-    u, v = base.members[0], base.members[1]
-    assert hamming_correlation(u, v, 31) == hamming_correlation(u, v, 0)
-    assert hamming_correlation(u, v, -1) == hamming_correlation(u, v, 30)
-
-
-def test_length_mismatch_rejected(plan_b2):
-    u = hop_seq([0, 1, 2], plan_b2)
-    v = hop_seq([0, 1], plan_b2)
-    with pytest.raises(IncompatibleSequenceError):
-        hamming_correlation(u, v, 0)
+    assert hamming_correlation(base, 0, 1, 31) == hamming_correlation(base, 0, 1, 0)
+    assert hamming_correlation(base, 0, 1, -1) == hamming_correlation(base, 0, 1, 30)
 
 
 # --- profiles ---------------------------------------------------------------
@@ -90,19 +76,20 @@ def test_profile_matches_naive(small_sets):
         mat = sset.as_matrix()
         for u in range(sset.q):
             for v in range(u, sset.q):
-                profile = correlation_profile(sset.members[u], sset.members[v])
+                profile = correlation_profile(sset, u, v)
+                assert profile.pair == (u, v)
                 assert profile.values.tolist() == naive_profile(mat[u].tolist(), mat[v].tolist())
 
 
 def test_profile_kinds(small_sets):
     base, _ = small_sets
-    assert correlation_profile(base.members[0], base.members[0]).kind == AUTO
-    assert correlation_profile(base.members[0], base.members[1]).kind == CROSS
+    assert correlation_profile(base, 0, 0).kind == AUTO
+    assert correlation_profile(base, 0, 1).kind == CROSS
 
 
 def test_auto_profile_peak(small_sets):
     base, _ = small_sets
-    profile = correlation_profile(base.members[2], base.members[2])
+    profile = correlation_profile(base, 2, 2)
     assert profile.values[0] == 31
 
 
@@ -110,8 +97,8 @@ def test_symmetry_identity(small_sets):
     # G_uv(d) == G_vu(n - d mod n)
     base, _ = small_sets
     n = base.length
-    p_uv = correlation_profile(base.members[0], base.members[3]).values
-    p_vu = correlation_profile(base.members[3], base.members[0]).values
+    p_uv = correlation_profile(base, 0, 3).values
+    p_vu = correlation_profile(base, 3, 0).values
     for d in range(n):
         assert p_uv[d] == p_vu[(n - d) % n]
 
@@ -188,12 +175,11 @@ def test_single_member_vacuously_orthogonal(ms6, plan_b2):
 
 def test_histogram_counts(plan_b2):
     plan_b1 = FrequencyPlan(p=2, b=1)
-    seq = hop_seq([0, 0, 1], plan_b1)
-    assert frequency_histogram(seq).tolist() == [2, 1]
-    seq4 = hop_seq([3, 3, 3, 0], plan_b2)
-    hist = frequency_histogram(seq4)
-    assert hist.tolist() == [1, 0, 0, 3]
-    assert hist.sum() == seq4.length
+    assert frequency_histogram(SequenceSet([[0, 0, 1]], plan_b1, BASE)).tolist() == [[2, 1]]
+    sset = SequenceSet([[3, 3, 3, 0], [1, 2, 1, 2]], plan_b2, BASE)
+    hist = frequency_histogram(sset)
+    assert hist.tolist() == [[1, 0, 0, 3], [0, 2, 2, 0]]
+    assert (hist.sum(axis=1) == sset.length).all()
 
 
 def test_no_hit_zone_single_member(ms6, plan_b2):
@@ -229,7 +215,7 @@ def test_no_hit_zone_matches_bruteforce(small_sets):
 
 def test_no_hit_zone_disjoint_supports_span_full_period(plan_b2):
     # members on disjoint spot alphabets never collide at any delay
-    sset = set_from_matrix([[0, 1, 0, 1, 0, 1], [2, 3, 2, 3, 2, 3]], plan_b2, BASE)
+    sset = SequenceSet([[0, 1, 0, 1, 0, 1], [2, 3, 2, 3, 2, 3]], plan_b2, BASE)
     assert verify_orthogonality(sset) == []
     assert no_hit_zone_width(sset) == 5
 
@@ -262,7 +248,7 @@ def random_sets(draw):
     plan = FrequencyPlan(p=draw(st.sampled_from((2, 3, 5))), b=draw(st.integers(1, 2)))
     q, n = draw(st.integers(1, 5)), draw(st.integers(1, 40))
     rows = st.lists(st.integers(0, plan.M - 1), min_size=n, max_size=n)
-    return set_from_matrix(draw(st.lists(rows, min_size=q, max_size=q)), plan, BASE)
+    return SequenceSet(draw(st.lists(rows, min_size=q, max_size=q)), plan, BASE)
 
 
 @settings(derandomize=True, deadline=None)
@@ -291,9 +277,8 @@ def test_fft_engine_matches_bruteforce(sset):
                                              for v in range(q) if u != v)]
         expected_zone = hit[0] - 1 if hit else n - 1
     assert no_hit_zone_width(sset) == expected_zone
-    if n * q == 1:
-        return  # the Peng-Fan bound divides by L*q - 1
     report = analyze_set(sset, profiles=profiles)
+    assert (report.peng_fan is None) == (n * q == 1)  # the bound divides by L*q - 1
     assert report.max_hamming == expected_max
     assert report.orthogonal_at_zero == (not any(zero))
     assert report.no_hit_zone == expected_zone

@@ -8,6 +8,8 @@ from hopset.lfsr import (
     _GF2_PRIMITIVE_EXPONENTS,
     LfsrConfig,
     default_polynomial,
+    is_prime,
+    prime_factors,
     validate_primitive_polynomial,
 )
 
@@ -52,6 +54,32 @@ def order_of_x(p, taps):
     return None
 
 
+def sieve(limit):
+    """Sieve of Eratosthenes: flags[k] is True iff k is prime, 0 <= k <= limit."""
+    flags = [False, False] + [True] * (limit - 1)
+    for k in range(2, int(limit**0.5) + 1):
+        if flags[k]:
+            flags[k * k::k] = [False] * len(flags[k * k::k])
+    return flags
+
+
+# --- prime helpers --------------------------------------------------------
+
+def test_prime_helpers_match_sieve():
+    flags = sieve(10**4)
+    primes = [k for k, prime in enumerate(flags) if prime]
+    assert [is_prime(k) for k in range(10**4 + 1)] == flags
+    assert not is_prime(-7)
+    for k in range(1, 10**4 + 1):
+        factors = prime_factors(k)
+        assert factors == sorted(r for r in primes if k % r == 0), k
+        rest = k
+        for r in factors:
+            while rest % r == 0:
+                rest //= r
+        assert rest == 1, k
+
+
 # --- primitivity validation ----------------------------------------------
 
 def test_x3_x_1_is_primitive():
@@ -82,28 +110,27 @@ def test_nonprime_modulus_raises():
 
 
 def test_validator_agrees_with_x_order_bruteforce():
-    # every degree-4 polynomial over GF(2) with nonzero lead, plus GF(3) quadratics
-    for mid in itertools.product((0, 1), repeat=4):
-        taps = mid + (1,)
-        expected = order_of_x(2, taps) == 2**4 - 1
-        assert validate_primitive_polynomial(2, taps) is expected, taps
-    for mid in itertools.product(range(3), repeat=2):
-        for lead in (1, 2):
-            taps = mid + (lead,)
-            expected = order_of_x(3, taps) == 3**2 - 1
-            assert validate_primitive_polynomial(3, taps) is expected, taps
+    # every polynomial with nonzero lead of degree 1-4 over GF(2) and GF(3)
+    # and of degree 1-3 over GF(5), against both brute-force oracles
+    for p, degrees in ((2, range(1, 5)), (3, range(1, 5)), (5, range(1, 4))):
+        for l in degrees:
+            for mid in itertools.product(range(p), repeat=l):
+                for lead in range(1, p):
+                    taps = mid + (lead,)
+                    expected = order_of_x(p, taps) == p**l - 1
+                    assert (walk_cycle_length(p, taps) == p**l - 1) is expected, taps
+                    assert validate_primitive_polynomial(p, taps) is expected, taps
 
 
 def test_validator_walk_and_order_paths_agree_degree8():
-    # degree 8 sits below the walk threshold; spot-check against the walk oracle
+    # spot-check the multiplicative-order test against the walk oracle at degree 8
     polys = [default_polynomial(2, 8), (1, 1, 1, 1, 1, 1, 1, 1, 1), (1, 0, 0, 0, 0, 0, 0, 0, 1)]
     for taps in polys:
         assert validate_primitive_polynomial(2, taps) is (walk_cycle_length(2, taps) == 255)
 
 
 def test_order_path_agrees_with_bruteforce_at_small_degrees():
-    # the fast multiplicative-order path only runs for large state spaces;
-    # exercise it directly against the naive oracle, reducibles included
+    # the multiplicative-order test called directly, reducibles included
     from hopset.lfsr import _x_order_is_maximal
 
     for mid in itertools.product((0, 1), repeat=4):

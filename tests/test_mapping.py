@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-import sympy
+from hypothesis import given, settings, strategies as st
 
+from hopset.correlation import correlation_profile
 from hopset.errors import EmptySequenceError, FamilySizeError, HopsetError
+from hopset.lfsr import is_prime
 from hopset.mapping import (
     BALANCED,
     BASE,
@@ -11,51 +13,60 @@ from hopset.mapping import (
     SequenceSet,
     build_base_set,
     default_shift,
-    set_from_matrix,
-    shifted_hop_sequence,
-    tuple_map,
     validate_family,
 )
 
 from conftest import make_mseq
 
 
+# --- independent oracle ---------------------------------------------------
+
+def formula_rows(mseq, fam, plan):
+    """Member a, hop j: sum_i s((a*tau + j*b + i) mod n) * p^i, one symbol at a time."""
+    s, n, b, p = mseq.symbols.tolist(), mseq.n, plan.b, plan.p
+    return [[sum(s[(a * fam.tau + j * b + i) % n] * p**i for i in range(b))
+             for j in range(n // b)] for a in range(fam.q)]
+
+
+def tuple_map(mseq, plan):
+    """Member 0 of a base set: the unrotated sequence mapped word by word."""
+    return build_base_set(mseq, FamilyConfig(q=1, tau=2), plan).as_matrix()[0]
+
+
+# --- hop mapping ------------------------------------------------------------
+
 def test_tuple_map_hand_evaluated():
     # symbols 1,0,1,1,1,0,0 -> words (1,0),(1,1),(1,0) -> 1, 3, 1
     ms = make_mseq(3, taps=(1, 1, 0, 1), seed=(1, 0, 1))
     assert ms.symbols.tolist() == [1, 0, 1, 1, 1, 0, 0]
-    hops = tuple_map(ms, FrequencyPlan(p=2, b=2))
-    assert hops.hops.tolist() == [1, 3, 1]
+    assert tuple_map(ms, FrequencyPlan(p=2, b=2)).tolist() == [1, 3, 1]
 
 
 def test_tuple_map_b1_is_identity(ms6):
-    hops = tuple_map(ms6, FrequencyPlan(p=2, b=1))
-    assert np.array_equal(hops.hops, ms6.symbols)
+    assert np.array_equal(tuple_map(ms6, FrequencyPlan(p=2, b=1)), ms6.symbols)
 
 
 def test_tuple_map_drops_trailing_symbols(ms3):
-    hops = tuple_map(ms3, FrequencyPlan(p=2, b=2))
-    assert hops.length == 3  # 7 // 2, last symbol unused
+    assert tuple_map(ms3, FrequencyPlan(p=2, b=2)).size == 3  # 7 // 2, last symbol unused
 
 
 def test_degree14_width4_gives_4095_hops():
     ms = make_mseq(14)
-    hops = tuple_map(ms, FrequencyPlan(p=2, b=4))
-    assert hops.length == 4095
-    assert hops.plan.M == 16
+    sset = build_base_set(ms, FamilyConfig(q=1, tau=2), FrequencyPlan(p=2, b=4))
+    assert sset.length == 4095
+    assert sset.plan.M == 16
 
 
 def test_tuple_map_values_below_m(ms6, plan_b3):
     hops = tuple_map(ms6, plan_b3)
-    assert hops.hops.min() >= 0
-    assert hops.hops.max() < 8
+    assert hops.min() >= 0
+    assert hops.max() < 8
 
 
 def test_tuple_map_gf3():
     ms = make_mseq(2, p=3, taps=(2, 1, 1))
-    hops = tuple_map(ms, FrequencyPlan(p=3, b=2))
     expected = [ms.symbols[2 * j] + 3 * ms.symbols[2 * j + 1] for j in range(4)]
-    assert hops.hops.tolist() == expected
+    assert tuple_map(ms, FrequencyPlan(p=3, b=2)).tolist() == expected
 
 
 def test_tuple_map_modulus_mismatch(ms3):
@@ -70,43 +81,64 @@ def test_width_at_least_period_rejected(ms3):
 
 def test_all_spots_used_when_long_enough(ms6, plan_b2):
     # 31 hops over 4 spots: all spots occur (31 >= 4*4)
-    hops = tuple_map(ms6, plan_b2)
-    assert set(hops.hops.tolist()) == {0, 1, 2, 3}
+    assert set(tuple_map(ms6, plan_b2).tolist()) == {0, 1, 2, 3}
 
 
 def test_shift_zero_reproduces_tuple_map(ms6, plan_b2):
-    fam = FamilyConfig(q=3, tau=5)
-    assert np.array_equal(
-        shifted_hop_sequence(ms6, 0, fam, plan_b2).hops,
-        tuple_map(ms6, plan_b2).hops,
-    )
+    sset = build_base_set(ms6, FamilyConfig(q=3, tau=5), plan_b2)
+    assert np.array_equal(sset.as_matrix()[0], tuple_map(ms6, plan_b2))
 
 
 def test_shifted_member_hand_evaluated(ms3):
     # a=1, tau=3, b=2 on the period-7 sequence: words s(3+2j), s(4+2j) mod 7
-    fam = FamilyConfig(q=2, tau=3)
-    hops = shifted_hop_sequence(ms3, 1, fam, FrequencyPlan(p=2, b=2))
+    sset = build_base_set(ms3, FamilyConfig(q=2, tau=3), FrequencyPlan(p=2, b=2))
     s = ms3.symbols.tolist()
     expected = [s[(3 + 2 * j) % 7] + 2 * s[(4 + 2 * j) % 7] for j in range(3)]
-    assert hops.hops.tolist() == expected == [1, 3, 1]
+    assert sset.as_matrix()[1].tolist() == expected == [1, 3, 1]
 
 
 @pytest.mark.parametrize("a", [0, 1, 2, 3, 4])
-def test_length_same_for_every_member(ms6, plan_b2, a):
-    fam = FamilyConfig(q=5, tau=11)
-    assert shifted_hop_sequence(ms6, a, fam, plan_b2).length == 31
+def test_length_same_for_every_member(ms6, plan_b3, a):
+    sset = build_base_set(ms6, FamilyConfig(q=5, tau=11), plan_b3)
+    assert sset.as_matrix()[a].size == sset.length == 21  # 63 // 3
 
 
 def test_member_index_out_of_range(ms6, plan_b2):
-    fam = FamilyConfig(q=2, tau=5)
+    sset = build_base_set(ms6, FamilyConfig(q=2, tau=5), plan_b2)
     with pytest.raises(IndexError):
-        shifted_hop_sequence(ms6, 2, fam, plan_b2)
+        correlation_profile(sset, 2, 0)
 
 
 def test_shift_must_stay_below_period(ms3, plan_b2):
-    fam = FamilyConfig(q=2, tau=7)
     with pytest.raises(HopsetError):
-        shifted_hop_sequence(ms3, 1, fam, plan_b2)
+        build_base_set(ms3, FamilyConfig(q=2, tau=7), plan_b2)
+
+
+# one primitive polynomial per (p, l): x^3+x+1 ... over GF(2), then GF(3), GF(5)
+PRIMITIVE = [(2, (1, 1, 0, 1)), (2, (1, 1, 0, 0, 1)), (2, (1, 0, 1, 0, 0, 1)),
+             (3, (2, 1, 1)), (3, (1, 2, 0, 1)), (3, (2, 1, 0, 0, 1)),
+             (5, (2, 1, 1)), (5, (2, 3, 0, 1))]
+
+
+@st.composite
+def base_families(draw):
+    p, taps = draw(st.sampled_from(PRIMITIVE))
+    l = len(taps) - 1
+    seed = draw(st.lists(st.integers(0, p - 1), min_size=l, max_size=l).filter(any))
+    mseq = make_mseq(l, p=p, taps=taps, seed=tuple(seed))
+    plan = FrequencyPlan(p=p, b=draw(st.integers(1, min(4, mseq.n - 1))))
+    tau = draw(st.sampled_from([t for t in range(2, mseq.n) if is_prime(t)]))
+    q = draw(st.integers(1, min(plan.M, 9)))
+    return mseq, FamilyConfig(q=q, tau=tau), plan
+
+
+@settings(derandomize=True, deadline=None)
+@given(base_families())
+def test_base_set_gather_matches_member_formula(family):
+    mseq, fam, plan = family
+    sset = build_base_set(mseq, fam, plan)
+    assert sset.kind == BASE
+    assert sset.as_matrix().tolist() == formula_rows(mseq, fam, plan)
 
 
 def test_family_shift_must_be_prime():
@@ -124,10 +156,11 @@ def test_family_size_bounds(plan_b2):
 
 
 def test_base_set_single_member_is_tuple_map(ms6, plan_b2):
-    sset = build_base_set(ms6, FamilyConfig(q=1, tau=5), plan_b2)
+    fam = FamilyConfig(q=1, tau=5)
+    sset = build_base_set(ms6, fam, plan_b2)
     assert sset.kind == BASE
     assert sset.q == 1
-    assert np.array_equal(sset.members[0].hops, tuple_map(ms6, plan_b2).hops)
+    assert sset.as_matrix().tolist() == formula_rows(ms6, fam, plan_b2)
 
 
 def test_base_set_members_differ(ms6, plan_b2):
@@ -146,7 +179,7 @@ def test_base_set_size_violation(ms6, plan_b2):
 def test_default_shift_rule():
     # smallest prime >= floor(n/q)
     assert default_shift(16383, 5) == 3299
-    assert sympy.isprime(default_shift(16383, 5))
+    assert is_prime(default_shift(16383, 5))
     assert default_shift(63, 4) == 17  # 63//4 = 15 -> 17
     assert default_shift(63, 63) == 2
 
@@ -160,15 +193,25 @@ def test_default_shift_fallback_below_period():
 
 def test_set_kind_and_shape_validation(plan_b2):
     with pytest.raises(HopsetError):
-        set_from_matrix([[0, 1]], plan_b2, "other")
-    a = set_from_matrix([[0, 1, 2]], plan_b2, BASE).members[0]
-    b = set_from_matrix([[0, 1]], plan_b2, BASE).members[0]
-    with pytest.raises(HopsetError):
-        SequenceSet(members=(a, b), kind=BASE)
+        SequenceSet([[0, 1]], plan_b2, "other")
+    for not_a_matrix in ([0, 1, 2], [[[0, 1]]], [[]], []):
+        with pytest.raises(HopsetError):
+            SequenceSet(not_a_matrix, plan_b2, BASE)
+
+
+def test_set_holds_a_read_only_private_copy(plan_b2):
+    matrix = np.array([[0, 1, 2], [3, 2, 1]])
+    sset = SequenceSet(matrix, plan_b2, BASE)
+    matrix[0, 0] = 3
+    assert sset.as_matrix().tolist() == [[0, 1, 2], [3, 2, 1]]
+    assert sset.as_matrix() is sset.as_matrix()
+    assert (sset.q, sset.length) == (2, 3)
+    with pytest.raises(ValueError):
+        sset.as_matrix()[0, 0] = 1
 
 
 def test_balanced_kind_requires_distinct_columns(plan_b2):
     with pytest.raises(HopsetError):
-        set_from_matrix([[0, 1], [0, 2]], plan_b2, BALANCED)
-    sset = set_from_matrix([[0, 1], [1, 2]], plan_b2, BALANCED)
+        SequenceSet([[0, 1], [0, 2]], plan_b2, BALANCED)
+    sset = SequenceSet([[0, 1], [1, 2]], plan_b2, BALANCED)
     assert sset.kind == BALANCED

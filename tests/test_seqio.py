@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,21 @@ def test_entry_count_mismatch_names_line(tmp_path):
     assert err.value.line == 2
 
 
+def test_short_rows_rejected_before_allocation(tmp_path):
+    # the header asks for a 128 MB matrix; the rows' field counts refuse it first
+    path = tmp_path / "bad.txt"
+    path.write_text("# M=4 n=4000000 q=4 kind=base\n" + "0,1\n" * 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SequenceFormatError) as err:
+            seqio.read_sequence_set(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == 2
+    assert peak < 2**20
+
+
 def test_bad_token_names_line_and_column(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# M=4 n=3 q=1 kind=base\n0,x,1\n")
@@ -139,7 +155,7 @@ def test_fairness_csv_rows_and_fit(tmp_path, ms6, plan_b2):
 
 def test_profile_csv(tmp_path, family):
     base, _, _ = family
-    profile = correlation_profile(base.members[0], base.members[1])
+    profile = correlation_profile(base, 0, 1)
     path = tmp_path / "profile.csv"
     seqio.write_profile_csv(path, profile)
     lines = path.read_text().splitlines()

@@ -4,7 +4,7 @@ import pytest
 from hopset.balancer import cfb_balance
 from hopset.correlation import hamming_correlation
 from hopset.errors import IncompatibleSetError, UnsupportedDelayError
-from hopset.mapping import BASE, FamilyConfig, build_base_set, set_from_matrix
+from hopset.mapping import BASE, FamilyConfig, SequenceSet, build_base_set
 from hopset.sim import SimScenario, compare_sets, simulate
 
 
@@ -35,7 +35,7 @@ def test_one_period_reproduces_zero_delay_correlations(family):
     report = simulate(SimScenario(sset=base, hops=base.length))
     for u in range(base.q):
         for v in range(base.q):
-            expected = hamming_correlation(base.members[u], base.members[v], 0) if u != v else 0
+            expected = hamming_correlation(base, u, v, 0) if u != v else 0
             assert report.per_pair[u, v] == expected
     assert report.total_collisions == np.triu(report.per_pair, 1).sum()
     assert report.total_collisions > 0
@@ -102,6 +102,6 @@ def test_compare_identical_sets(family):
 
 def test_compare_rejects_shape_mismatch(family, plan_b2):
     base, _ = family
-    other = set_from_matrix([[0, 1], [1, 2]], plan_b2, BASE)
+    other = SequenceSet([[0, 1], [1, 2]], plan_b2, BASE)
     with pytest.raises(IncompatibleSetError):
         compare_sets(base, other, hops=10)
