@@ -14,7 +14,6 @@ from .correlation import (
     correlation_profile,
     frequency_histogram,
     hamming_correlation,
-    no_hit_zone_width,
     pairwise_profiles,
     peng_fan_bound,
     verify_orthogonality,
@@ -25,13 +24,11 @@ from .errors import (
     EmptySequenceError,
     FamilySizeError,
     HopsetError,
-    IncompatibleSetError,
     InvalidPolynomialError,
     ScenarioError,
     SequenceFormatError,
     SingularFitError,
     UnsupportedDegreeError,
-    UnsupportedDelayError,
 )
 from .lfsr import LfsrConfig, MSequence, default_polynomial, generate_m_sequence, validate_primitive_polynomial
 from .mapping import (
@@ -44,6 +41,6 @@ from .mapping import (
     default_shift,
     validate_family,
 )
-from .sim import CollisionReport, SimScenario, compare_sets, simulate
+from .sim import CollisionReport, SimScenario, simulate
 
 __version__ = "0.1.0"

@@ -32,6 +32,7 @@ from .mapping import (
     FrequencyPlan,
     SequenceSet,
     build_base_set,
+    collided_columns,
     default_shift,
     validate_family,
 )
@@ -74,18 +75,11 @@ def cfb_balance(base: SequenceSet):
     validate_family(base.q, base.plan)
 
     matrix = np.array(base.as_matrix(), order="F")  # the one writable copy
-    q, n_hops = matrix.shape
     M = base.plan.M
     usage = frequency_histogram(base).tolist()
-    op_count = [0] * q
+    op_count = [0] * base.q
 
-    if q > 1:
-        sorted_cols = np.sort(matrix, axis=0)
-        dup_cols = np.nonzero((sorted_cols[1:] == sorted_cols[:-1]).any(axis=0))[0]
-    else:
-        dup_cols = ()
-
-    for i in dup_cols:
+    for i in collided_columns(matrix):
         col = matrix[:, i].tolist()
         holders = {}
         for a, f in enumerate(col):

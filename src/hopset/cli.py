@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     fair.set_defaults(func=cmd_fairness)
 
     sim = sub.add_parser("simulate", help="run the synchronous collision model on a scenario")
-    sim.add_argument("scenario", help="scenario JSON: hops, offsets, sequences path")
+    sim.add_argument("scenario", help="scenario JSON: hops and sequences path")
     sim.set_defaults(func=cmd_simulate)
     return parser
 

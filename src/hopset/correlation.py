@@ -96,31 +96,24 @@ def frequency_histogram(sset: SequenceSet) -> np.ndarray:
     return np.array([np.bincount(row, minlength=sset.plan.M) for row in sset.as_matrix()])
 
 
+def zero_delay_hits(matrix) -> np.ndarray:
+    """q x q counts of the columns of a q x L matrix where members u != v share a spot."""
+    q = len(matrix)
+    hits = np.zeros((q, q), dtype=np.int64)
+    for u in range(q - 1):  # member u against every later member in one call
+        hits[u, u + 1:] = np.count_nonzero(matrix[u] == matrix[u + 1:], axis=1)
+    return hits + hits.T
+
+
 def verify_orthogonality(sset: SequenceSet):
     """Zero-delay collision check across all member pairs.
 
-    Returns a list of (u, v, count) for every pair with a nonzero
-    correlation at delay 0; an empty list means the set is orthogonal.
+    Returns a list of (u, v, count), u < v in index order, for every pair
+    with a nonzero correlation at delay 0; an empty list means the set is
+    orthogonal.
     """
-    matrix = sset.as_matrix()
-    violations = []
-    for u in range(sset.q):
-        for v in range(u + 1, sset.q):
-            count = int(np.count_nonzero(matrix[u] == matrix[v]))
-            if count:
-                violations.append((u, v, count))
-    return violations
-
-
-def no_hit_zone_width(sset: SequenceSet) -> int:
-    """Largest Z such that every cross pair has zero correlation for |delay| <= Z.
-
-    A single-member set has no cross pairs and yields L-1 by convention; a
-    set that is not even orthogonal at delay 0 yields the sentinel -1.
-    """
-    if sset.q == 1:
-        return sset.length - 1
-    return analyze_set(sset).no_hit_zone
+    hits = np.triu(zero_delay_hits(sset.as_matrix()))
+    return [(int(u), int(v), int(hits[u, v])) for u, v in zip(*np.nonzero(hits))]
 
 
 def pairwise_profiles(sset: SequenceSet):

@@ -33,14 +33,6 @@ class FamilySizeError(HopsetError):
         self.M = M
 
 
-class IncompatibleSetError(HopsetError):
-    """Two sequence sets do not share the same shape (q, length, plan)."""
-
-
-class UnsupportedDelayError(HopsetError):
-    """A relative user delay of one hop or more was requested."""
-
-
 class SingularFitError(HopsetError):
     """Least-squares fit is degenerate (all x values equal)."""
 
@@ -58,7 +50,7 @@ class SequenceFormatError(HopsetError):
 
 
 class ScenarioError(SequenceFormatError, ValueError):
-    """A simulation scenario lacks hops or sequences, or has bad hops, sequences or offsets."""
+    """A simulation scenario lacks hops or sequences, or has bad or unknown keys."""
 
 
 class ConfigError(HopsetError):

@@ -62,7 +62,8 @@ class SequenceSet:
     """An ordered family of q hop sequences sharing one plan and length L.
 
     The hops live in one read-only q x L int64 array, a private copy of the
-    matrix the set was built from; row a is member a.
+    matrix the set was built from; row a is member a. Every spot lies in
+    [0, M), and every column of a balanced set holds distinct spots.
     """
 
     def __init__(self, matrix, plan: FrequencyPlan, kind):
@@ -73,11 +74,10 @@ class SequenceSet:
             raise HopsetError(f"a sequence set is a q x L matrix, got {hops.ndim} dimensions")
         if not hops.size:
             raise HopsetError("sequence set needs at least one member and one hop")
-        if kind == BALANCED and len(hops) > 1:
-            cols = np.sort(hops, axis=0)
-            repeated = np.flatnonzero((cols[1:] == cols[:-1]).any(axis=0))
-            if repeated.size:
-                raise HopsetError(f"balanced set has repeated spots in hop column {repeated[0]}")
+        if hops.min() < 0 or hops.max() >= plan.M:
+            raise HopsetError(f"spot indices must lie in [0, {plan.M})")
+        if kind == BALANCED and (repeated := collided_columns(hops)).size:
+            raise HopsetError(f"balanced set has repeated spots in hop column {repeated[0]}")
         hops.setflags(write=False)
         self._hops, self.plan, self.kind = hops, plan, kind
 
@@ -92,6 +92,12 @@ class SequenceSet:
     def as_matrix(self):
         """The stored q x length array, rows in member order (read-only, not a copy)."""
         return self._hops
+
+
+def collided_columns(matrix):
+    """Indices of the columns of a q x L matrix in which two members share a spot."""
+    cols = np.sort(matrix, axis=0)
+    return np.flatnonzero((cols[1:] == cols[:-1]).any(axis=0))
 
 
 def validate_family(q, plan: FrequencyPlan):

@@ -172,19 +172,18 @@ def collision_report_payload(report: CollisionReport) -> dict:
 
 
 def load_scenario(path) -> SimScenario:
-    """Read a scenario JSON: hops, optional offsets, path to a sequence file.
+    """Read a scenario JSON: integer hops and the path to a sequence file.
 
-    A relative sequence path is resolved against the scenario file's
-    directory.
+    Any other key is an error. A relative sequence path is resolved against
+    the scenario file's directory.
     """
     path = Path(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ScenarioError("scenario JSON must hold an object")
-    hops, offsets, sequences = payload.get("hops"), payload.get("offsets"), payload.get("sequences")
+    if unknown := set(payload) - {"hops", "sequences"}:
+        raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
+    hops, sequences = payload.get("hops"), payload.get("sequences")
     if type(hops) is not int or type(sequences) is not str:
         raise ScenarioError(f"need integer 'hops', string 'sequences': {hops!r}, {sequences!r}")
-    if offsets is not None and not (
-            isinstance(offsets, list) and all(type(x) in (int, float) for x in offsets)):
-        raise ScenarioError(f"scenario 'offsets' must be a list of numbers, got {offsets!r}")
-    return SimScenario(sset=read_sequence_set(path.parent / sequences), hops=hops, offsets=offsets)
+    return SimScenario(sset=read_sequence_set(path.parent / sequences), hops=hops)

@@ -1,49 +1,39 @@
 """Synchronous FHMA slot-collision simulator.
 
-All users hop at the same rate and are frame synchronized; per-user delays
-are restricted to a fraction of one dwell, so at hop t user u sits on spot
-member_u(t mod L) and a collision is two users on the same spot in the
-same hop slot. Sequences repeat cyclically when the simulated horizon
-exceeds their length.
+All users hop at the same rate and are frame synchronized, so at hop t
+user u sits on spot member_u(t mod L) and a collision is two users on the
+same spot in the same hop slot. Sequences repeat cyclically, so a horizon
+of hops = k*L + r slots counts k times the zero-delay hits of one period
+plus those of the first r columns. A run costs O(q^2 * L) whatever its
+horizon.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IncompatibleSetError, ScenarioError, UnsupportedDelayError
+from .correlation import zero_delay_hits
+from .errors import ScenarioError
 from .mapping import SequenceSet
 
 
 @dataclass(frozen=True, eq=False)
 class SimScenario:
-    """A deterministic run: a sequence set, a hop horizon, sub-dwell offsets.
+    """A deterministic run: a sequence set and a hop horizon.
 
-    Offsets model receive-time jitter below one dwell; they are validated
-    (anything >= 1 dwell is out of the synchronous model) but do not move
-    the hop index.
+    The horizon is at least one hop, and hops * max(1, q(q-1)/2), the
+    largest collision total it can give, fits in int64.
     """
 
     sset: SequenceSet
     hops: int
-    offsets: tuple = None
 
     def __post_init__(self):
         if self.hops < 1:
             raise ScenarioError(f"hop count must be >= 1, got {self.hops}")
-        offsets = self.offsets
-        if offsets is None:
-            offsets = (0.0,) * self.sset.q
-        offsets = tuple(float(x) for x in offsets)
-        if len(offsets) != self.sset.q:
-            raise ScenarioError(f"need one offset per user: got {len(offsets)} for q={self.sset.q}")
-        for x in offsets:
-            if not 0.0 <= x < 1.0:
-                raise UnsupportedDelayError(
-                    f"offset {x} outside [0, 1) dwell; delays of a hop or more "
-                    "are not modeled"
-                )
-        object.__setattr__(self, "offsets", offsets)
+        pairs = self.sset.q * (self.sset.q - 1) // 2
+        if int(self.hops) * max(pairs, 1) > np.iinfo(np.int64).max:
+            raise ScenarioError(f"hop count {self.hops} overflows the int64 collision counts")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,28 +48,9 @@ class CollisionReport:
 def simulate(scn: SimScenario) -> CollisionReport:
     """Count per-pair slot coincidences over scn.hops synchronized hops."""
     matrix = scn.sset.as_matrix()
-    q, n = matrix.shape
-    spots = matrix[:, np.arange(scn.hops) % n]
-    per_pair = np.zeros((q, q), dtype=np.int64)
-    for u in range(q):
-        for v in range(u + 1, q):
-            hits = int(np.count_nonzero(spots[u] == spots[v]))
-            per_pair[u, v] = hits
-            per_pair[v, u] = hits
+    periods, rest = divmod(scn.hops, matrix.shape[1])
+    per_pair = periods * zero_delay_hits(matrix) + zero_delay_hits(matrix[:, :rest])
     total = int(np.triu(per_pair, 1).sum())
-    pairs = q * (q - 1) // 2
+    pairs = scn.sset.q * (scn.sset.q - 1) // 2
     rate = total / (scn.hops * pairs) if pairs else 0.0
     return CollisionReport(total_collisions=total, per_pair=per_pair, collision_rate=rate)
-
-
-def compare_sets(base: SequenceSet, balanced: SequenceSet, hops):
-    """Run the identical scenario on two sets; returns (base_report, balanced_report)."""
-    if (base.q, base.length, base.plan) != (balanced.q, balanced.length, balanced.plan):
-        raise IncompatibleSetError(
-            "sets differ in shape: "
-            f"({base.q}, {base.length}) vs ({balanced.q}, {balanced.length})"
-        )
-    return (
-        simulate(SimScenario(sset=base, hops=hops)),
-        simulate(SimScenario(sset=balanced, hops=hops)),
-    )

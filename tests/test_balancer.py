@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hopset.balancer import cfb_balance, fit_linear, mean_operation_curve
+from hopset.correlation import frequency_histogram
 from hopset.errors import FamilySizeError, SingularFitError
 from hopset.mapping import (
     BALANCED,
@@ -12,7 +14,7 @@ from hopset.mapping import (
     build_base_set,
 )
 
-from conftest import make_mseq
+from conftest import base_families, make_mseq
 
 
 def spot_histograms(matrix, M):
@@ -72,6 +74,21 @@ def test_only_colliding_entries_change(ms6, plan_b2):
         col = before[:, i]
         if len(set(col)) == len(col):
             assert np.array_equal(col, after[:, i])
+
+
+@settings(derandomize=True, deadline=None)
+@given(base_families())
+def test_balancing_properties_over_gf_p(family):
+    base = build_base_set(*family)
+    balanced, ledger = cfb_balance(base)
+    before, after = base.as_matrix(), balanced.as_matrix()
+    assert all(len(set(col)) == base.q for col in after.T.tolist())
+    clean = [i for i, col in enumerate(before.T.tolist()) if len(set(col)) == base.q]
+    assert np.array_equal(after[:, clean], before[:, clean])
+    changed = before != after
+    assert changed.sum() == ledger.op_count.sum()
+    assert np.array_equal(changed.sum(axis=1), ledger.op_count)
+    assert np.array_equal(ledger.usage, frequency_histogram(balanced))
 
 
 def test_usage_tracks_balanced_histograms(ms6, plan_b3):

@@ -260,6 +260,23 @@ def test_fairness_outputs(tmp_path, capsys):
     assert "h1 = " in out
 
 
+def test_fairness_json_matches_csv(tmp_path, capsys):
+    config = ("fairness", "--l", "6", "--b", "2")
+    code, _, err = run(capsys, *config, "--out", str(tmp_path / "csv"))
+    assert code == 0, err
+    code, out, err = run(capsys, *config, "--format", "json", "--out", str(tmp_path / "json"))
+    assert code == 0, err
+    assert out.splitlines()[0] == str(tmp_path / "json" / "fairness.json")
+    payload = json.loads((tmp_path / "json" / "fairness.json").read_text())
+    assert set(payload) == {"q", "mean_ops", "normalized", "h1", "h2"}
+    lines = (tmp_path / "csv" / "fairness.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:-2]]
+    assert payload["q"] == [int(q) for q, _, _ in rows] == [1, 2, 3, 4]
+    assert payload["mean_ops"] == [float(mean) for _, mean, _ in rows]
+    assert payload["normalized"] == [float(norm) for _, _, norm in rows]
+    assert lines[-2:] == [f"# h1 = {payload['h1']}", f"# h2 = {payload['h2']}"]
+
+
 def test_simulate_balanced_is_collision_free(tmp_path, capsys):
     run(capsys, "generate", *SMALL, "--out", str(tmp_path))
     scenario = tmp_path / "scenario.json"
@@ -285,6 +302,23 @@ def test_simulate_base_counts_match_correlation(tmp_path, capsys):
             assert payload["per_pair"][u][v] == hamming_correlation(base, u, v, 0)
 
 
+def test_simulate_huge_horizon_folds_periods(tmp_path, capsys):
+    run(capsys, "generate", *SMALL, "--out", str(tmp_path))
+    hops = 10**12
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"hops": hops, "sequences": "base.txt"}))
+    code, out, err = run(capsys, "simulate", str(scenario))
+    assert code == 0, err
+    matrix = seqio.read_sequence_set(tmp_path / "base.txt").as_matrix()
+    periods, rest = divmod(hops, matrix.shape[1])
+    same = matrix[:, None, :] == matrix[None, :, :]
+    expected = periods * same.sum(axis=2) + same[:, :, :rest].sum(axis=2)
+    np.fill_diagonal(expected, 0)
+    payload = json.loads(out)
+    assert payload["per_pair"] == expected.tolist()
+    assert payload["total_collisions"] == int(expected.sum()) // 2 > 0
+
+
 def test_simulate_malformed_scenario(tmp_path, capsys):
     scenario = tmp_path / "scenario.json"
     scenario.write_text("{oops")
@@ -298,6 +332,7 @@ def test_simulate_malformed_scenario(tmp_path, capsys):
     {"hops": "x"},
     {"hops": 5, "offsets": 3},
     {"hops": 5, "offsets": [0.0, 0.5]},
+    {"hops": 10**23},
 ])
 def test_simulate_bad_scenario_is_parse_error(tmp_path, capsys, fields):
     run(capsys, "generate", *SMALL, "--out", str(tmp_path))

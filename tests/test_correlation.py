@@ -12,7 +12,6 @@ from hopset.correlation import (
     correlation_profile,
     frequency_histogram,
     hamming_correlation,
-    no_hit_zone_width,
     pairwise_profiles,
     peng_fan_bound,
     verify_orthogonality,
@@ -163,9 +162,9 @@ def test_base_set_has_violations(small_sets):
     base, _ = small_sets
     violations = verify_orthogonality(base)
     assert violations
-    mat = base.as_matrix()
-    for u, v, count in violations:
-        assert count == naive_hamming(mat[u].tolist(), mat[v].tolist(), 0)
+    mat = base.as_matrix().tolist()
+    counts = {(u, v): naive_hamming(mat[u], mat[v], 0) for u in range(4) for v in range(u + 1, 4)}
+    assert violations == [(u, v, c) for (u, v), c in counts.items() if c]
 
 
 def test_single_member_vacuously_orthogonal(ms6, plan_b2):
@@ -184,17 +183,17 @@ def test_histogram_counts(plan_b2):
 
 def test_no_hit_zone_single_member(ms6, plan_b2):
     sset = build_base_set(ms6, FamilyConfig(q=1, tau=5), plan_b2)
-    assert no_hit_zone_width(sset) == 30
+    assert analyze_set(sset).no_hit_zone == 30
 
 
 def test_no_hit_zone_sentinel_for_colliders(small_sets):
     base, _ = small_sets
-    assert no_hit_zone_width(base) == -1
+    assert analyze_set(base).no_hit_zone == -1
 
 
 def test_no_hit_zone_matches_bruteforce(small_sets):
     _, balanced = small_sets
-    zone = no_hit_zone_width(balanced)
+    zone = analyze_set(balanced).no_hit_zone
     assert zone >= 0
     mat = balanced.as_matrix()
     n = balanced.length
@@ -217,7 +216,7 @@ def test_no_hit_zone_disjoint_supports_span_full_period(plan_b2):
     # members on disjoint spot alphabets never collide at any delay
     sset = SequenceSet([[0, 1, 0, 1, 0, 1], [2, 3, 2, 3, 2, 3]], plan_b2, BASE)
     assert verify_orthogonality(sset) == []
-    assert no_hit_zone_width(sset) == 5
+    assert analyze_set(sset).no_hit_zone == 5
 
 
 def test_analyze_report_consistency(small_sets):
@@ -233,7 +232,6 @@ def test_analyze_report_consistency(small_sets):
                 expected_max = max(expected_max, max(profile[1:] if u == v else profile))
         assert report.max_hamming == expected_max
         assert report.orthogonal_at_zero == (verify_orthogonality(sset) == [])
-        assert report.no_hit_zone == no_hit_zone_width(sset)
         assert report.peng_fan == peng_fan_bound(sset.length, sset.q, 4)
         assert report.histograms.shape == (sset.q, 4)
         assert (report.histograms.sum(axis=1) == sset.length).all()
@@ -276,7 +274,6 @@ def test_fft_engine_matches_bruteforce(sset):
         hit = [d for d in range(1, n) if any(naive[u, v][d] for u in range(q)
                                              for v in range(q) if u != v)]
         expected_zone = hit[0] - 1 if hit else n - 1
-    assert no_hit_zone_width(sset) == expected_zone
     report = analyze_set(sset, profiles=profiles)
     assert (report.peng_fan is None) == (n * q == 1)  # the bound divides by L*q - 1
     assert report.max_hamming == expected_max

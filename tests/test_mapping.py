@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from hopset.correlation import correlation_profile
+from hopset.correlation import analyze_set, correlation_profile, frequency_histogram
 from hopset.errors import EmptySequenceError, FamilySizeError, HopsetError
 from hopset.lfsr import is_prime
 from hopset.mapping import (
@@ -12,11 +12,12 @@ from hopset.mapping import (
     FrequencyPlan,
     SequenceSet,
     build_base_set,
+    collided_columns,
     default_shift,
     validate_family,
 )
 
-from conftest import make_mseq
+from conftest import base_families, make_mseq
 
 
 # --- independent oracle ---------------------------------------------------
@@ -114,24 +115,6 @@ def test_shift_must_stay_below_period(ms3, plan_b2):
         build_base_set(ms3, FamilyConfig(q=2, tau=7), plan_b2)
 
 
-# one primitive polynomial per (p, l): x^3+x+1 ... over GF(2), then GF(3), GF(5)
-PRIMITIVE = [(2, (1, 1, 0, 1)), (2, (1, 1, 0, 0, 1)), (2, (1, 0, 1, 0, 0, 1)),
-             (3, (2, 1, 1)), (3, (1, 2, 0, 1)), (3, (2, 1, 0, 0, 1)),
-             (5, (2, 1, 1)), (5, (2, 3, 0, 1))]
-
-
-@st.composite
-def base_families(draw):
-    p, taps = draw(st.sampled_from(PRIMITIVE))
-    l = len(taps) - 1
-    seed = draw(st.lists(st.integers(0, p - 1), min_size=l, max_size=l).filter(any))
-    mseq = make_mseq(l, p=p, taps=taps, seed=tuple(seed))
-    plan = FrequencyPlan(p=p, b=draw(st.integers(1, min(4, mseq.n - 1))))
-    tau = draw(st.sampled_from([t for t in range(2, mseq.n) if is_prime(t)]))
-    q = draw(st.integers(1, min(plan.M, 9)))
-    return mseq, FamilyConfig(q=q, tau=tau), plan
-
-
 @settings(derandomize=True, deadline=None)
 @given(base_families())
 def test_base_set_gather_matches_member_formula(family):
@@ -215,3 +198,19 @@ def test_balanced_kind_requires_distinct_columns(plan_b2):
         SequenceSet([[0, 1], [0, 2]], plan_b2, BALANCED)
     sset = SequenceSet([[0, 1], [1, 2]], plan_b2, BALANCED)
     assert sset.kind == BALANCED
+
+
+def test_spots_must_lie_in_the_plan(plan_b2):
+    with pytest.raises(HopsetError, match=r"\[0, 4\)"):
+        frequency_histogram(SequenceSet([[0, 5], [1, 2]], plan_b2, BASE))
+    with pytest.raises(HopsetError, match=r"\[0, 4\)"):
+        analyze_set(SequenceSet([[0, -1], [1, 2]], plan_b2, BASE))
+    with pytest.raises(HopsetError):
+        SequenceSet([[0, 4]], plan_b2, BASE)
+    assert SequenceSet([[0, 3]], plan_b2, BASE).as_matrix().tolist() == [[0, 3]]
+
+
+def test_collided_columns_names_columns_with_a_repeated_spot():
+    matrix = np.array([[0, 1, 2, 3], [0, 2, 1, 2], [3, 1, 0, 2]])
+    assert collided_columns(matrix).tolist() == [0, 1, 3]
+    assert collided_columns(matrix[:1]).tolist() == []

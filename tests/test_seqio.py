@@ -7,7 +7,7 @@ import pytest
 from hopset import seqio
 from hopset.balancer import cfb_balance, mean_operation_curve
 from hopset.correlation import analyze_set, correlation_profile
-from hopset.errors import SequenceFormatError
+from hopset.errors import ScenarioError, SequenceFormatError
 from hopset.mapping import FamilyConfig, build_base_set
 from hopset.sim import simulate
 
@@ -184,7 +184,6 @@ def test_scenario_round_trip(tmp_path, family):
     scenario_path.write_text(json.dumps({"hops": 31, "sequences": "set.txt"}))
     scn = seqio.load_scenario(scenario_path)
     assert scn.hops == 31
-    assert scn.offsets == (0.0,) * 4
     report = simulate(scn)
     assert report.total_collisions > 0
 
@@ -194,7 +193,8 @@ def test_scenario_with_offsets_and_missing_keys(tmp_path, family):
     seqio.write_sequence_set(tmp_path / "set.txt", base)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"hops": 5, "offsets": [0.1, 0.2, 0.3, 0.4], "sequences": "set.txt"}))
-    assert seqio.load_scenario(path).offsets == (0.1, 0.2, 0.3, 0.4)
+    with pytest.raises(ScenarioError, match=r"unknown scenario keys: \['offsets'\]"):
+        seqio.load_scenario(path)
     path.write_text(json.dumps({"hops": 5}))
     with pytest.raises(SequenceFormatError):
         seqio.load_scenario(path)

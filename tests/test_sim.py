@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopset.balancer import cfb_balance
 from hopset.correlation import hamming_correlation
-from hopset.errors import IncompatibleSetError, UnsupportedDelayError
-from hopset.mapping import BASE, FamilyConfig, SequenceSet, build_base_set
-from hopset.sim import SimScenario, compare_sets, simulate
+from hopset.errors import ScenarioError
+from hopset.mapping import FamilyConfig, build_base_set
+from hopset.sim import SimScenario, simulate
+
+from conftest import base_families
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +20,7 @@ def family(ms6, plan_b2):
 
 def test_balanced_set_never_collides(family):
     _, balanced = family
-    report = simulate(SimScenario(sset=balanced, hops=100, offsets=(0.1, 0.9, 0.0, 0.5)))
+    report = simulate(SimScenario(sset=balanced, hops=100))
     assert report.total_collisions == 0
     assert report.collision_rate == 0.0
     assert not report.per_pair.any()
@@ -60,24 +63,10 @@ def test_report_shape_invariants(family):
 
 def test_determinism(family):
     base, _ = family
-    scn = SimScenario(sset=base, hops=40, offsets=(0.2, 0.2, 0.2, 0.2))
+    scn = SimScenario(sset=base, hops=40)
     a, b = simulate(scn), simulate(scn)
     assert a.total_collisions == b.total_collisions
     assert np.array_equal(a.per_pair, b.per_pair)
-
-
-def test_offsets_must_stay_below_one_dwell(family):
-    base, _ = family
-    with pytest.raises(UnsupportedDelayError):
-        SimScenario(sset=base, hops=10, offsets=(0.0, 1.0, 0.0, 0.0))
-    with pytest.raises(UnsupportedDelayError):
-        SimScenario(sset=base, hops=10, offsets=(0.0, -0.1, 0.0, 0.0))
-
-
-def test_offset_count_must_match_users(family):
-    base, _ = family
-    with pytest.raises(ValueError):
-        SimScenario(sset=base, hops=10, offsets=(0.0, 0.0))
 
 
 def test_hop_horizon_must_be_positive(family):
@@ -86,22 +75,35 @@ def test_hop_horizon_must_be_positive(family):
         SimScenario(sset=base, hops=0)
 
 
-def test_compare_sets_pairs_reports(family):
-    base, balanced = family
-    base_report, balanced_report = compare_sets(base, balanced, hops=base.length)
-    assert base_report.total_collisions > 0
-    assert balanced_report.total_collisions == 0
+def test_hop_horizon_must_fit_int64_counts(family):
+    base, _ = family  # q=4: six pairs
+    limit = np.iinfo(np.int64).max // 6
+    assert SimScenario(sset=base, hops=limit).hops == limit
+    with pytest.raises(ScenarioError):
+        SimScenario(sset=base, hops=limit + 1)
 
 
-def test_compare_identical_sets(family):
-    base, _ = family
-    one, two = compare_sets(base, base, hops=25)
-    assert one.total_collisions == two.total_collisions
-    assert np.array_equal(one.per_pair, two.per_pair)
+def brute_force_per_pair(matrix, hops):
+    """Pairwise coincidences over every slot of the horizon, one gathered column per hop."""
+    spots = matrix[:, np.arange(hops) % matrix.shape[1]]
+    q = len(matrix)
+    counts = np.zeros((q, q), dtype=np.int64)
+    for u in range(q):
+        for v in range(q):
+            if u != v:
+                counts[u, v] = np.count_nonzero(spots[u] == spots[v])
+    return counts
 
 
-def test_compare_rejects_shape_mismatch(family, plan_b2):
-    base, _ = family
-    other = SequenceSet([[0, 1], [1, 2]], plan_b2, BASE)
-    with pytest.raises(IncompatibleSetError):
-        compare_sets(base, other, hops=10)
+@settings(derandomize=True, deadline=None)
+@given(base_families(), st.data())
+def test_period_fold_matches_brute_force(family, data):
+    mseq, fam, plan = family
+    base = build_base_set(mseq, fam, plan)
+    for sset in (base, cfb_balance(base)[0]):
+        L = sset.length
+        hops = data.draw(st.one_of(st.integers(1, 4 * L), st.sampled_from([L, 2 * L, 3 * L])))
+        report = simulate(SimScenario(sset=sset, hops=hops))
+        expected = brute_force_per_pair(sset.as_matrix(), hops)
+        assert report.per_pair.tolist() == expected.tolist()
+        assert report.total_collisions == int(expected.sum()) // 2
