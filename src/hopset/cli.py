@@ -8,7 +8,8 @@ slot-collision model on a scenario file.
 
 Settings resolve as CLI flags > JSON config file > built-in defaults.
 Exit codes: 0 ok, 2 bad configuration, 3 math/domain failure, 4 I/O or
-parse failure. Errors are emitted as one JSON object per line on stderr.
+parse failure. Errors, usage errors included, are emitted as one JSON object
+per line on stderr.
 """
 
 import argparse
@@ -32,16 +33,15 @@ from .mapping import (
 from . import seqio
 from .sim import simulate
 
-_CONFIG_KEYS = {"p", "l", "b", "M", "q", "tau", "poly", "out", "format"}
+_CONFIG_KEYS = {"l", "M", "q", "tau", "poly", "out", "format"}
 
 
 @dataclass
 class RunConfig:
     """Resolved run settings shared by the generate/fairness commands."""
 
-    p: int = 2
+    plan: FrequencyPlan
     l: int = 14
-    b: int = 4
     q: int = 5
     tau: int = None
     poly: tuple = None
@@ -49,12 +49,8 @@ class RunConfig:
     format: str = "csv"
 
     @property
-    def M(self):
-        return self.p**self.b
-
-    @property
     def n(self):
-        return self.p**self.l - 1
+        return self.plan.p**self.l - 1
 
 
 def _parse_poly(value, p):
@@ -76,28 +72,21 @@ def _as_int(key, value):
     return int(value)
 
 
-def _check_exponent(key, p, e):
-    """Refuse an exponent l or b below 1 or with p^e above SIZE_LIMIT, before p^e is computed."""
-    if e < 1:
-        raise ConfigError(f"{key}={e} must be positive")
-    if e >= SIZE_LIMIT.bit_length() or p**e > SIZE_LIMIT:
-        raise ConfigError(f"{key}={e}: p^{key}={p}^{e} exceeds the limit {SIZE_LIMIT}")
-
-
 def _resolve_config(args, family=True) -> RunConfig:
-    """Merge defaults, config file, and CLI flags; validate consistency.
+    """Merge defaults, config file, and CLI flags; check each setting once.
 
-    Commands without a family notion (fairness sweeps q internally) skip
-    the q bound check. p, the period n = p^l - 1, M and the set size are
-    refused above SIZE_LIMIT before any of them is factored or allocated.
+    M alone names the plan (default 16, p=2 and b=4): plan_from_spot_count
+    splits it into the prime p and the word width b. Commands without a
+    family notion (fairness sweeps q internally) skip the q bound check. M,
+    the period n = p^l - 1 and the set size are refused above SIZE_LIMIT
+    before any of them is factored or allocated.
     """
-    merged = {}
+    merged = {"M": 16}
     if getattr(args, "config", None):
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
-        if unknown:
+        if unknown := set(raw) - _CONFIG_KEYS:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(raw)
     for key in _CONFIG_KEYS:
@@ -105,35 +94,23 @@ def _resolve_config(args, family=True) -> RunConfig:
         if value is not None:
             merged[key] = value
 
-    cfg = RunConfig()
-    cfg.p = _as_int("p", merged.get("p", cfg.p))
-    if cfg.p > SIZE_LIMIT or not is_prime(cfg.p):
-        raise ConfigError(f"p={cfg.p} is not a prime up to {SIZE_LIMIT}")
+    try:
+        cfg = RunConfig(plan_from_spot_count(_as_int("M", merged["M"])))
+    except HopsetError as exc:
+        raise ConfigError(str(exc)) from None
     cfg.l = _as_int("l", merged.get("l", cfg.l))
-    _check_exponent("l", cfg.p, cfg.l)
-
-    if "M" in merged:
-        M = _as_int("M", merged["M"])
-        try:
-            plan = plan_from_spot_count(M)
-        except HopsetError as exc:
-            raise ConfigError(str(exc)) from None
-        if plan.p != cfg.p:
-            raise ConfigError(f"M={M} is not a power of p={cfg.p}")
-        if "b" in merged and _as_int("b", merged["b"]) != plan.b:
-            raise ConfigError(f"b={merged['b']} inconsistent with M={M}=p^{plan.b}")
-        cfg.b = plan.b
-    else:
-        cfg.b = _as_int("b", merged.get("b", cfg.b))
-    _check_exponent("b", cfg.p, cfg.b)
+    if not 1 <= cfg.l < SIZE_LIMIT.bit_length() or cfg.plan.p**cfg.l > SIZE_LIMIT:
+        raise ConfigError(f"l={cfg.l} must be at least 1 with p^l={cfg.plan.p}^{cfg.l} "
+                          f"at most the limit {SIZE_LIMIT}")
 
     if family:
         cfg.q = _as_int("q", merged.get("q", cfg.q))
-        if cfg.q < 1 or cfg.q > cfg.M:
-            raise ConfigError(str(FamilySizeError(cfg.q, cfg.M)))
+        if cfg.q < 1 or cfg.q > cfg.plan.M:
+            raise ConfigError(str(FamilySizeError(cfg.q, cfg.plan.M)))
     else:
         cfg.q = 1
-    entries = (cfg.q if family else cfg.M) * (cfg.n // cfg.b)  # fairness sweeps q up to M
+    # the largest set: q members, or M for the fairness sweep
+    entries = (cfg.q if family else cfg.plan.M) * (cfg.n // cfg.plan.b)
     if entries > SIZE_LIMIT:
         raise ConfigError(f"largest set holds {entries} entries, above the limit {SIZE_LIMIT}")
 
@@ -144,7 +121,7 @@ def _resolve_config(args, family=True) -> RunConfig:
         if not is_prime(cfg.tau):
             raise ConfigError(f"tau={cfg.tau} must be prime")
     if merged.get("poly") is not None:
-        cfg.poly = _parse_poly(merged["poly"], cfg.p)
+        cfg.poly = _parse_poly(merged["poly"], cfg.plan.p)
         if len(cfg.poly) != cfg.l + 1:
             raise ConfigError(
                 f"polynomial has degree {len(cfg.poly) - 1}, expected l={cfg.l}"
@@ -157,9 +134,9 @@ def _resolve_config(args, family=True) -> RunConfig:
 
 
 def _build_sequence(cfg: RunConfig):
-    taps = cfg.poly if cfg.poly is not None else default_polynomial(cfg.p, cfg.l)
+    taps = cfg.poly if cfg.poly is not None else default_polynomial(cfg.plan.p, cfg.l)
     seed = (1,) + (0,) * (cfg.l - 1)
-    return generate_m_sequence(LfsrConfig(p=cfg.p, taps=taps, seed=seed))
+    return generate_m_sequence(LfsrConfig(p=cfg.plan.p, taps=taps, seed=seed))
 
 
 def _out_dir(path) -> Path:
@@ -171,9 +148,8 @@ def _out_dir(path) -> Path:
 def cmd_generate(args) -> int:
     cfg = _resolve_config(args)
     mseq = _build_sequence(cfg)
-    plan = FrequencyPlan(p=cfg.p, b=cfg.b)
     tau = cfg.tau if cfg.tau is not None else default_shift(mseq.n, cfg.q)
-    base = build_base_set(mseq, FamilyConfig(q=cfg.q, tau=tau), plan)
+    base = build_base_set(mseq, FamilyConfig(q=cfg.q, tau=tau), cfg.plan)
     balanced, ledger = cfb_balance(base)
 
     out = _out_dir(cfg.out)
@@ -184,7 +160,7 @@ def cmd_generate(args) -> int:
         written = ["base.txt", "balanced.txt", "ledger.json"]
     else:
         seqio.write_ledger_csv(out / "ledger.csv", ledger)
-        seqio.write_usage_csv(out / "usage.csv", ledger)
+        seqio.write_histograms_csv(out / "usage.csv", ledger.usage)
         written = ["base.txt", "balanced.txt", "ledger.csv", "usage.csv"]
     for name in written:
         print(out / name)
@@ -192,12 +168,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    stems = [Path(path).stem for path in args.files]
+    if repeated := sorted({stem for stem in stems if stems.count(stem) > 1}):
+        raise ConfigError(f"inputs share the output stems {repeated}; each stem names its outputs")
     out = _out_dir(args.out)
-    for input_path in args.files:
+    for input_path, stem in zip(args.files, stems):
         sset = seqio.read_sequence_set(input_path)
         profiles = pairwise_profiles(sset)
         report = analyze_set(sset, profiles=profiles)
-        stem = Path(input_path).stem
         seqio.write_analysis_report(out / f"{stem}.report.json", report)
         seqio.write_histograms_csv(out / f"{stem}.histograms.csv", report.histograms)
         for profile in profiles:
@@ -211,8 +189,7 @@ def cmd_analyze(args) -> int:
 def cmd_fairness(args) -> int:
     cfg = _resolve_config(args, family=False)
     mseq = _build_sequence(cfg)
-    plan = FrequencyPlan(p=cfg.p, b=cfg.b)
-    report = mean_operation_curve(mseq, plan, tau=cfg.tau)
+    report = mean_operation_curve(mseq, cfg.plan, tau=cfg.tau)
     out = _out_dir(cfg.out)
     if cfg.format == "json":
         seqio.write_fairness_json(out / "fairness.json", report)
@@ -232,21 +209,29 @@ def cmd_simulate(args) -> int:
 
 
 def _add_config_flags(parser, with_family=True):
-    parser.add_argument("--p", type=int, help="prime symbol modulus (default 2)")
-    parser.add_argument("--l", type=int, help="primitive polynomial degree (default 14)")
-    parser.add_argument("--b", type=int, help="symbols per hop word (default 4)")
-    parser.add_argument("--M", type=int, help="frequency spot count p^b (alternative to --b)")
+    parser.add_argument("--l", help="primitive polynomial degree (default 14)")
+    parser.add_argument("--M", help="frequency spot count p^b, a prime power (default 16)")
     if with_family:
-        parser.add_argument("--q", type=int, help="family size, 1 <= q <= M (default 5)")
-    parser.add_argument("--tau", type=int, help="prime rotation step between members")
+        parser.add_argument("--q", help="family size, 1 <= q <= M (default 5)")
+    parser.add_argument("--tau", help="prime rotation step between members")
     parser.add_argument("--poly", help="polynomial taps c0,...,cl, lowest degree first")
     parser.add_argument("--out", help="output directory (default .)")
-    parser.add_argument("--format", choices=("csv", "json"), help="ledger/curve format")
+    parser.add_argument("--format", help="ledger/curve format, csv or json (default csv)")
     parser.add_argument("--config", help="JSON config file, overridden by flags")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags are spelled out in full; a usage error is a ConfigError (exit 2)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopset",
         description="Build and analyze collision-free balanced frequency hopping sequence sets.",
     )
@@ -277,13 +262,13 @@ def _emit_error(exc) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         _emit_error(exc)
         return 2
-    except (SequenceFormatError, OSError, json.JSONDecodeError) as exc:
+    except (SequenceFormatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit_error(exc)
         return 4
     except HopsetError as exc:

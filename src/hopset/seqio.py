@@ -30,7 +30,10 @@ def _atomic_write_text(path, text):
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives, not mkstemp's private 0600
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -100,11 +103,6 @@ def write_ledger_csv(path, ledger):
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_usage_csv(path, ledger):
-    lines = [",".join(str(int(x)) for x in row) for row in ledger.usage]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def write_ledger_json(path, ledger):
     payload = {
         "op_count": [int(x) for x in ledger.op_count],
@@ -140,6 +138,7 @@ def write_profile_csv(path, profile: CorrelationProfile):
 
 
 def write_histograms_csv(path, histograms):
+    """Any integer matrix, one comma-separated row per line: histograms, ledger usage."""
     lines = [",".join(str(int(x)) for x in row) for row in np.asarray(histograms)]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -187,7 +187,7 @@ def test_criterion_7_family_bound_enforced(tmp_path, capsys):
         validate_family(17, FrequencyPlan(p=2, b=4))
     except FamilySizeError as err:
         raised = err.q == 17 and err.M == 16
-    exit_code = cli_main(["generate", "--l", "14", "--b", "4", "--q", "17",
+    exit_code = cli_main(["generate", "--l", "14", "--M", "16", "--q", "17",
                           "--out", str(tmp_path)])
     capsys.readouterr()
     ok = raised and exit_code == 2

@@ -1,16 +1,19 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopset import seqio
 from hopset.cli import _resolve_config, build_parser, main
 from hopset.errors import ConfigError
 from hopset.mapping import SIZE_LIMIT
 
-SMALL = ["--l", "6", "--b", "2", "--q", "3"]
+SMALL = ["--l", "6", "--M", "4", "--q", "3"]
 PRIME_30_DIGITS = str(10**29 + 319)
 
 
@@ -46,7 +49,7 @@ def test_generate_json_ledger(tmp_path, capsys):
 
 
 def test_generate_rejects_oversized_family(tmp_path, capsys):
-    code, _, err = run(capsys, "generate", "--l", "14", "--b", "4", "--q", "17",
+    code, _, err = run(capsys, "generate", "--l", "14", "--M", "16", "--q", "17",
                        "--out", str(tmp_path))
     assert code == 2
     payload = json.loads(err)
@@ -60,27 +63,10 @@ def test_generate_rejects_nonprime_tau(tmp_path, capsys):
     assert json.loads(err)["error"] == "ConfigError"
 
 
-def test_m_flag_is_alternative_to_b(tmp_path, capsys):
-    code_b, _, _ = run(capsys, "generate", "--l", "6", "--b", "2", "--q", "3",
-                       "--out", str(tmp_path / "via_b"))
-    code_m, _, _ = run(capsys, "generate", "--l", "6", "--M", "4", "--q", "3",
-                       "--out", str(tmp_path / "via_m"))
-    assert code_b == code_m == 0
-    assert (tmp_path / "via_b" / "balanced.txt").read_bytes() == \
-           (tmp_path / "via_m" / "balanced.txt").read_bytes()
-
-
-def test_inconsistent_b_and_m_rejected(tmp_path, capsys):
-    code, _, err = run(capsys, "generate", "--l", "6", "--b", "3", "--M", "4",
-                       "--q", "3", "--out", str(tmp_path))
-    assert code == 2
+def test_m_not_a_prime_power_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--l", "6", "--M", "6", "--q", "3",
                        "--out", str(tmp_path))
-    assert code == 2
-    # M=9 is a prime power, but of 3, not of --p 2
-    code, _, err = run(capsys, "generate", "--l", "6", "--M", "9", "--q", "3",
-                       "--out", str(tmp_path))
-    assert code == 2 and "not a power of p=2" in json.loads(err)["message"]
+    assert code == 2 and "not a prime power" in json.loads(err)["message"]
 
 
 def resolve(*argv):
@@ -90,9 +76,9 @@ def resolve(*argv):
 @pytest.mark.parametrize("argv", [
     ["--l", "64"],
     ["--l", "25"],
-    ["--b", "40"],
-    ["--p", "3", "--l", "16"],
-    ["--p", PRIME_30_DIGITS, "--l", "1", "--b", "1", "--q", "1"],
+    ["--M", str(3**16)],
+    ["--M", "3", "--l", "16"],
+    ["--M", PRIME_30_DIGITS, "--l", "1", "--q", "1"],
     ["--M", str(2**40)],
     ["--l", "22", "--M", "64", "--q", "64"],
     ["--l", "18", "--M", "64", "--q", "64", "--tau", PRIME_30_DIGITS],
@@ -104,19 +90,24 @@ def test_oversized_numbers_rejected_before_work(argv):
 
 def test_largest_acceptance_config_within_limits():
     cfg = resolve("--l", "18", "--M", "64", "--q", "64")
-    assert (cfg.n, cfg.M, cfg.q) == (2**18 - 1, 64, 64)
-    assert resolve("--l", "24", "--b", "1", "--q", "1").n == SIZE_LIMIT - 1
+    assert (cfg.n, cfg.plan.M, cfg.q) == (2**18 - 1, 64, 64)
+    assert resolve("--l", "24", "--M", "2", "--q", "1").n == SIZE_LIMIT - 1
 
 
 def test_explicit_polynomial_accepted(tmp_path, capsys):
-    code, _, err = run(capsys, "generate", "--l", "6", "--b", "2", "--q", "2",
+    code, _, err = run(capsys, "generate", "--l", "6", "--M", "4", "--q", "2",
                        "--poly", "1,1,0,0,0,0,1", "--out", str(tmp_path))
     assert code == 0, err
+    # M=9 gives p=3, b=2: a plan over GF(3) is named by M alone
+    code, _, err = run(capsys, "generate", "--l", "3", "--M", "9", "--q", "2",
+                       "--poly", "1,2,0,1", "--out", str(tmp_path / "gf3"))
+    assert code == 0, err
+    assert (tmp_path / "gf3" / "base.txt").read_text().startswith("# M=9 n=13 q=2 kind=base\n")
 
 
 def test_non_primitive_polynomial_is_domain_error(tmp_path, capsys):
     # well-formed config, but x^6+1 is not primitive: math/domain exit
-    code, _, err = run(capsys, "generate", "--l", "6", "--b", "2", "--q", "2",
+    code, _, err = run(capsys, "generate", "--l", "6", "--M", "4", "--q", "2",
                        "--poly", "1,0,0,0,0,0,1", "--out", str(tmp_path))
     assert code == 3
     assert json.loads(err)["error"] == "InvalidPolynomialError"
@@ -124,7 +115,7 @@ def test_non_primitive_polynomial_is_domain_error(tmp_path, capsys):
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"l": 6, "b": 2, "q": 2, "out": str(tmp_path / "a")}))
+    cfg_path.write_text(json.dumps({"l": 6, "M": 4, "q": 2, "out": str(tmp_path / "a")}))
     code, _, _ = run(capsys, "generate", "--config", str(cfg_path))
     assert code == 0
     assert (tmp_path / "a" / "base.txt").exists()
@@ -136,20 +127,56 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
+    # M alone names the plan, so p and b are unknown keys like any other
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"l": 6, "family": 3}))
-    code, _, err = run(capsys, "generate", "--config", str(cfg_path))
-    assert code == 2
+    for raw in ({"l": 6, "family": 3}, {"p": 2}, {"b": 2}, {"l": 6, "p": 2, "b": 2}):
+        cfg_path.write_text(json.dumps(raw))
+        code, _, err = run(capsys, "generate", "--config", str(cfg_path), "--out", str(tmp_path))
+        assert code == 2 and "unknown config keys" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("raw", [{"q": "abc"}, {"l": 2.5}, {"M": None}, {"l": True},
-                                 {"tau": [7]}, {"p": {}}])
+                                 {"tau": [7]}, {"M": {}}])
 def test_non_integer_config_value_is_config_error(tmp_path, capsys, raw):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(raw))
     code, _, err = run(capsys, "generate", "--config", str(cfg_path), "--out", str(tmp_path))
     assert code == 2
     assert json.loads(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--q", "abc"],
+    ["generate", "--format", "xml"],
+    ["generate", "--l", "1_6"],
+    ["generate", "--bogus", "1"],
+    ["generate", "--p", "2"],
+    ["fairness", "--b", "2"],
+    ["generate", "--o", "x"],
+    ["fairness", "--q", "3"],
+    ["generate", "--l"],
+    [],
+    ["bogus"],
+    ["analyze"],
+    ["simulate"],
+])
+def test_usage_error_is_one_json_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "ConfigError"
+    assert not any(tmp_path.iterdir())
+
+
+def test_non_utf8_input_is_io_error(tmp_path, capsys):
+    junk = tmp_path / "junk.txt"
+    junk.write_bytes(b"\xff\xfe")
+    for argv in (["analyze", str(junk), "--out", str(tmp_path)],
+                 ["generate", "--config", str(junk), "--out", str(tmp_path)],
+                 ["simulate", str(junk)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 4 and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "UnicodeDecodeError"
 
 
 def test_malformed_config_file_is_io_error(tmp_path, capsys):
@@ -185,8 +212,26 @@ def test_analyze_reads_the_plan_from_the_file(tmp_path, capsys):
     assert code == 0, err
     report = json.loads((tmp_path / "analysis" / "balanced.report.json").read_text())
     assert len(report["histograms"]) == 4 and len(report["histograms"][0]) == 4
-    with pytest.raises(SystemExit):
-        main(["analyze", str(tmp_path / "balanced.txt"), "--b", "1"])
+    code, out, err = run(capsys, "analyze", str(tmp_path / "balanced.txt"), "--M", "4")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "ConfigError"
+
+
+def test_analyze_refuses_repeated_stems(tmp_path, capsys):
+    run(capsys, "generate", *SMALL, "--out", str(tmp_path / "a"))
+    run(capsys, "generate", "--l", "6", "--M", "4", "--q", "4", "--out", str(tmp_path / "b"))
+    out_dir = tmp_path / "analysis"
+    a, b = tmp_path / "a", tmp_path / "b"
+    for files in ([a / "base.txt", b / "base.txt"],
+                  [a / "base.txt", a / "base.txt"],
+                  [a / "balanced.txt", b / "balanced.csv"],
+                  [a / "base.txt", tmp_path / "missing" / "base.txt"]):  # refused before reading
+        code, out, err = run(capsys, "analyze", *map(str, files), "--out", str(out_dir))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError" and files[0].stem in payload["message"]
+        assert not out_dir.exists()
 
 
 def test_analyze_round_trip_preserves_sets(tmp_path, capsys):
@@ -221,7 +266,7 @@ def test_analyze_oversized_header_is_parse_error(tmp_path, capsys, header):
 
 def test_analyze_one_member_one_hop(tmp_path, capsys):
     # L*q = 1: the Peng-Fan bound is undefined and reported as null
-    code, _, err = run(capsys, "generate", "--l", "2", "--b", "2", "--q", "1",
+    code, _, err = run(capsys, "generate", "--l", "2", "--M", "4", "--q", "1",
                        "--poly", "1,1,1", "--out", str(tmp_path))
     assert code == 0, err
     assert (tmp_path / "balanced.txt").read_text().startswith("# M=4 n=1 q=1 kind=balanced\n")
@@ -251,7 +296,7 @@ def test_analyze_malformed_file(tmp_path, capsys):
 
 
 def test_fairness_outputs(tmp_path, capsys):
-    code, out, err = run(capsys, "fairness", "--l", "6", "--b", "2",
+    code, out, err = run(capsys, "fairness", "--l", "6", "--M", "4",
                          "--out", str(tmp_path))
     assert code == 0, err
     lines = (tmp_path / "fairness.csv").read_text().splitlines()
@@ -261,7 +306,7 @@ def test_fairness_outputs(tmp_path, capsys):
 
 
 def test_fairness_json_matches_csv(tmp_path, capsys):
-    config = ("fairness", "--l", "6", "--b", "2")
+    config = ("fairness", "--l", "6", "--M", "4")
     code, _, err = run(capsys, *config, "--out", str(tmp_path / "csv"))
     assert code == 0, err
     code, out, err = run(capsys, *config, "--format", "json", "--out", str(tmp_path / "json"))
@@ -365,3 +410,65 @@ def test_default_config_full_scale(tmp_path, capsys):
     assert report["orthogonal_at_zero"] is True
     assert report["no_hit_zone"] == 0
     assert all(sum(row) == 4095 for row in report["histograms"])
+
+
+FUZZ_INTS = ["abc", "1_6", "-3", "", str(10**30), *map(str, range(11))]
+FUZZ_VALUES = FUZZ_INTS + ["16", "csv", "json", "xml", "1,1,0,0,1", "1,0,0,0,1"]
+FUZZ_FLAGS = {"generate": ["--M", "--q", "--tau", "--poly", "--format", "--config"],
+              "fairness": ["--M", "--tau", "--poly", "--format", "--config"],
+              "analyze": [], "simulate": []}
+FUZZ_FILES = ["base.txt", "balanced.txt", "scenario.json", "config.json", "legacy.json",
+              "broken.json", "junk.txt", "missing.txt", "."]
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """A small l=4, M=4, q=3 set and the other files a fuzzed argv may name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--l", "4", "--M", "4", "--q", "3", "--out", str(root)]) == 0
+    (root / "scenario.json").write_text(json.dumps({"hops": 9, "sequences": "base.txt"}))
+    (root / "config.json").write_text(json.dumps({"l": 5, "M": 4, "q": 2}))
+    (root / "legacy.json").write_text(json.dumps({"p": 2, "b": 2}))
+    (root / "broken.json").write_text("{oops")
+    (root / "junk.txt").write_bytes(b"\xff\xfe")
+    return root
+
+
+@st.composite
+def fuzz_argvs(draw, root):
+    """A subcommand (or none, or a bogus one), its inputs, its own flags, then junk.
+
+    generate and fairness always get an --l from the value pool, so l is at
+    most 10 or refused and every run stays small; every command but simulate
+    writes under the fixture's directory.
+    """
+    values = st.sampled_from(FUZZ_VALUES + [str(root / name) for name in FUZZ_FILES])
+    command = draw(st.sampled_from([*FUZZ_FLAGS, "bogus", None]))
+    argv = [] if command is None else [command]
+    if command in ("generate", "fairness"):
+        argv += ["--l", draw(st.sampled_from(FUZZ_INTS))]
+    elif command in ("analyze", "simulate"):
+        argv += draw(st.lists(values, min_size=1, max_size=2))
+    if own := FUZZ_FLAGS.get(command):
+        for flag in draw(st.lists(st.sampled_from(own), unique=True)):
+            argv += [flag, draw(values)]
+    argv += draw(st.lists(st.one_of(st.sampled_from(["--M", "--q", "--bogus"]), values),
+                          max_size=2))
+    if command != "simulate":
+        argv += ["--out", str(root / "out")]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_cli_fuzz_exit_codes_and_json_errors(fuzz_root, data):
+    argv = data.draw(fuzz_argvs(fuzz_root))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "Traceback" not in lines[0]
+        assert set(json.loads(lines[0])) == {"error", "message"}

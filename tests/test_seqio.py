@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -28,6 +30,21 @@ def test_round_trip_both_kinds(tmp_path, family):
         assert loaded.kind == sset.kind
         assert loaded.plan == sset.plan
         assert np.array_equal(loaded.as_matrix(), sset.as_matrix())
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_outputs_get_the_mode_open_gives(tmp_path, family, umask):
+    base, _, _ = family
+    previous = os.umask(umask)
+    try:
+        seqio.write_sequence_set(tmp_path / "base.txt", base)
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    written, plain = (stat.S_IMODE((tmp_path / name).stat().st_mode)
+                      for name in ("base.txt", "plain.txt"))
+    assert written == plain == 0o666 & ~umask
 
 
 def test_header_line(tmp_path, family):
@@ -126,7 +143,7 @@ def test_ledger_csv_layout(tmp_path, family):
 def test_usage_csv_matches_matrix(tmp_path, family):
     _, _, ledger = family
     path = tmp_path / "usage.csv"
-    seqio.write_usage_csv(path, ledger)
+    seqio.write_histograms_csv(path, ledger.usage)
     rows = [list(map(int, line.split(","))) for line in path.read_text().splitlines()]
     assert np.array_equal(np.array(rows), ledger.usage)
 
