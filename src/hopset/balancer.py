@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlation import frequency_histogram
-from .errors import SingularFitError
+from .errors import HopsetError, SingularFitError
 from .lfsr import MSequence
 from .mapping import (
     BALANCED,
@@ -71,7 +71,7 @@ def cfb_balance(base: SequenceSet):
     result has q distinct values in every column.
     """
     if base.kind != BASE:
-        raise ValueError(f"expected a base set, got kind={base.kind!r}")
+        raise HopsetError(f"expected a base set, got kind={base.kind!r}")
     validate_family(base.q, base.plan)
 
     matrix = np.array(base.as_matrix(), order="F")  # the one writable copy

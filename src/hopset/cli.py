@@ -6,10 +6,11 @@ histogram statistics for sequence files, `fairness` sweeps the family size
 and fits the mean-operation trend, `simulate` runs the synchronous
 slot-collision model on a scenario file.
 
-Settings resolve as CLI flags > JSON config file > built-in defaults.
-Exit codes: 0 ok, 2 bad configuration, 3 math/domain failure, 4 I/O or
-parse failure. Errors, usage errors included, are emitted as one JSON object
-per line on stderr.
+Settings come from flags alone, each with its default in the parser, and
+every artifact has one format: sequence sets as text, ledgers, usage and
+fairness curves as CSV, reports as JSON. Exit codes: 0 ok, 2 bad
+configuration, 3 math/domain failure, 4 I/O or parse failure. Errors, usage
+errors included, are emitted as one JSON object per line on stderr.
 """
 
 import argparse
@@ -33,20 +34,17 @@ from .mapping import (
 from . import seqio
 from .sim import simulate
 
-_CONFIG_KEYS = {"l", "M", "q", "tau", "poly", "out", "format"}
-
 
 @dataclass
 class RunConfig:
     """Resolved run settings shared by the generate/fairness commands."""
 
     plan: FrequencyPlan
-    l: int = 14
-    q: int = 5
-    tau: int = None
-    poly: tuple = None
-    out: str = "."
-    format: str = "csv"
+    l: int
+    q: int
+    tau: int | None  # None: the default shift rule
+    poly: tuple | None  # None: the built-in table
+    out: str
 
     @property
     def n(self):
@@ -54,11 +52,9 @@ class RunConfig:
 
 
 def _parse_poly(value, p):
-    if isinstance(value, str):
-        value = value.split(",")
     try:
-        taps = tuple(int(c) for c in value)
-    except (TypeError, ValueError):
+        taps = tuple(int(c) for c in value.split(","))
+    except ValueError:
         raise ConfigError(f"polynomial taps must be integers, got {value!r}") from None
     if any(c < 0 or c >= p for c in taps):
         raise ConfigError(f"polynomial coefficients must lie in [0, {p})")
@@ -66,71 +62,54 @@ def _parse_poly(value, p):
 
 
 def _as_int(key, value):
-    """An integer setting from a flag or the config file; anything else is a ConfigError."""
-    if type(value) not in (int, str) or not str(value).removeprefix("-").isdecimal():
+    """An integer flag: an optional '-' and decimal digits; anything else is a ConfigError."""
+    if not value.removeprefix("-").isdecimal():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
 def _resolve_config(args, family=True) -> RunConfig:
-    """Merge defaults, config file, and CLI flags; check each setting once.
+    """Check each flag once, in a fixed order, before any work.
 
-    M alone names the plan (default 16, p=2 and b=4): plan_from_spot_count
-    splits it into the prime p and the word width b. Commands without a
-    family notion (fairness sweeps q internally) skip the q bound check. M,
-    the period n = p^l - 1 and the set size are refused above SIZE_LIMIT
-    before any of them is factored or allocated.
+    M alone names the plan: plan_from_spot_count splits it into the prime p
+    and the word width b. Commands without a family notion (fairness sweeps
+    q internally) skip the q bound check. M, the period n = p^l - 1 and the
+    set size are refused above SIZE_LIMIT before any of them is factored or
+    allocated.
     """
-    merged = {"M": 16}
-    if getattr(args, "config", None):
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        if unknown := set(raw) - _CONFIG_KEYS:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(raw)
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-
     try:
-        cfg = RunConfig(plan_from_spot_count(_as_int("M", merged["M"])))
+        plan = plan_from_spot_count(_as_int("M", args.M))
     except HopsetError as exc:
         raise ConfigError(str(exc)) from None
-    cfg.l = _as_int("l", merged.get("l", cfg.l))
-    if not 1 <= cfg.l < SIZE_LIMIT.bit_length() or cfg.plan.p**cfg.l > SIZE_LIMIT:
-        raise ConfigError(f"l={cfg.l} must be at least 1 with p^l={cfg.plan.p}^{cfg.l} "
+    l = _as_int("l", args.l)
+    if not 1 <= l < SIZE_LIMIT.bit_length() or plan.p**l > SIZE_LIMIT:
+        raise ConfigError(f"l={l} must be at least 1 with p^l={plan.p}^{l} "
                           f"at most the limit {SIZE_LIMIT}")
+    n = plan.p**l - 1
 
     if family:
-        cfg.q = _as_int("q", merged.get("q", cfg.q))
-        if cfg.q < 1 or cfg.q > cfg.plan.M:
-            raise ConfigError(str(FamilySizeError(cfg.q, cfg.plan.M)))
+        q = _as_int("q", args.q)
+        if q < 1 or q > plan.M:
+            raise ConfigError(str(FamilySizeError(q, plan.M)))
     else:
-        cfg.q = 1
+        q = 1
     # the largest set: q members, or M for the fairness sweep
-    entries = (cfg.q if family else cfg.plan.M) * (cfg.n // cfg.plan.b)
+    entries = (q if family else plan.M) * (n // plan.b)
     if entries > SIZE_LIMIT:
         raise ConfigError(f"largest set holds {entries} entries, above the limit {SIZE_LIMIT}")
 
-    if merged.get("tau") is not None:
-        cfg.tau = _as_int("tau", merged["tau"])
-        if cfg.tau >= cfg.n:
-            raise ConfigError(f"tau={cfg.tau} must be below the period n={cfg.n}")
-        if not is_prime(cfg.tau):
-            raise ConfigError(f"tau={cfg.tau} must be prime")
-    if merged.get("poly") is not None:
-        cfg.poly = _parse_poly(merged["poly"], cfg.plan.p)
-        if len(cfg.poly) != cfg.l + 1:
-            raise ConfigError(
-                f"polynomial has degree {len(cfg.poly) - 1}, expected l={cfg.l}"
-            )
-    cfg.out = str(merged.get("out", cfg.out))
-    cfg.format = str(merged.get("format", cfg.format))
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
-    return cfg
+    tau = poly = None
+    if args.tau is not None:
+        tau = _as_int("tau", args.tau)
+        if tau >= n:
+            raise ConfigError(f"tau={tau} must be below the period n={n}")
+        if not is_prime(tau):
+            raise ConfigError(f"tau={tau} must be prime")
+    if args.poly is not None:
+        poly = _parse_poly(args.poly, plan.p)
+        if len(poly) != l + 1:
+            raise ConfigError(f"polynomial has degree {len(poly) - 1}, expected l={l}")
+    return RunConfig(plan, l, q, tau, poly, args.out)
 
 
 def _build_sequence(cfg: RunConfig):
@@ -155,14 +134,9 @@ def cmd_generate(args) -> int:
     out = _out_dir(cfg.out)
     seqio.write_sequence_set(out / "base.txt", base)
     seqio.write_sequence_set(out / "balanced.txt", balanced)
-    if cfg.format == "json":
-        seqio.write_ledger_json(out / "ledger.json", ledger)
-        written = ["base.txt", "balanced.txt", "ledger.json"]
-    else:
-        seqio.write_ledger_csv(out / "ledger.csv", ledger)
-        seqio.write_histograms_csv(out / "usage.csv", ledger.usage)
-        written = ["base.txt", "balanced.txt", "ledger.csv", "usage.csv"]
-    for name in written:
+    seqio.write_ledger_csv(out / "ledger.csv", ledger)
+    seqio.write_histograms_csv(out / "usage.csv", ledger.usage)
+    for name in ("base.txt", "balanced.txt", "ledger.csv", "usage.csv"):
         print(out / name)
     return 0
 
@@ -191,12 +165,8 @@ def cmd_fairness(args) -> int:
     mseq = _build_sequence(cfg)
     report = mean_operation_curve(mseq, cfg.plan, tau=cfg.tau)
     out = _out_dir(cfg.out)
-    if cfg.format == "json":
-        seqio.write_fairness_json(out / "fairness.json", report)
-        print(out / "fairness.json")
-    else:
-        seqio.write_fairness_csv(out / "fairness.csv", report)
-        print(out / "fairness.csv")
+    seqio.write_fairness_csv(out / "fairness.csv", report)
+    print(out / "fairness.csv")
     print(f"h1 = {report.slope:.5f}  h2 = {report.intercept:.5f}")
     return 0
 
@@ -209,15 +179,16 @@ def cmd_simulate(args) -> int:
 
 
 def _add_config_flags(parser, with_family=True):
-    parser.add_argument("--l", help="primitive polynomial degree (default 14)")
-    parser.add_argument("--M", help="frequency spot count p^b, a prime power (default 16)")
+    parser.add_argument("--l", default="14",
+                        help="primitive polynomial degree (default %(default)s)")
+    parser.add_argument("--M", default="16",
+                        help="frequency spot count p^b, a prime power (default %(default)s)")
     if with_family:
-        parser.add_argument("--q", help="family size, 1 <= q <= M (default 5)")
+        parser.add_argument("--q", default="5",
+                            help="family size, 1 <= q <= M (default %(default)s)")
     parser.add_argument("--tau", help="prime rotation step between members")
     parser.add_argument("--poly", help="polynomial taps c0,...,cl, lowest degree first")
-    parser.add_argument("--out", help="output directory (default .)")
-    parser.add_argument("--format", help="ledger/curve format, csv or json (default csv)")
-    parser.add_argument("--config", help="JSON config file, overridden by flags")
+    parser.add_argument("--out", default=".", help="output directory (default %(default)s)")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -49,7 +49,7 @@ class SequenceFormatError(HopsetError):
         self.column = column
 
 
-class ScenarioError(SequenceFormatError, ValueError):
+class ScenarioError(SequenceFormatError):
     """A simulation scenario lacks hops or sequences, or has bad or unknown keys."""
 
 

@@ -66,28 +66,29 @@ def read_sequence_set(path) -> SequenceSet:
     if q * n > SIZE_LIMIT:
         raise SequenceFormatError(f"set size q*n={q * n} exceeds the limit {SIZE_LIMIT}", line=1)
 
-    rows = [line for line in lines[1:] if line.strip()]
+    # blank lines are skipped; each row keeps its file line number for errors
+    rows = [(i, line) for i, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(rows) != q:
         raise SequenceFormatError(
             f"header promises q={q} sequences but file holds {len(rows)}",
             line=len(lines),
         )
-    for r, row in enumerate(rows):  # before any array is sized from the header
+    for line_no, row in rows:  # before any array is sized from the header
         if (found := row.count(",") + 1) != n:
-            raise SequenceFormatError(f"expected {n} entries, found {found}", line=r + 2)
+            raise SequenceFormatError(f"expected {n} entries, found {found}", line=line_no)
     matrix = np.empty((q, n), dtype=np.int64)
-    for r, row in enumerate(rows):
+    for r, (line_no, row) in enumerate(rows):
         column = 1
         for c, tok in enumerate(row.split(",")):
             try:
                 value = int(tok)
             except ValueError:
                 raise SequenceFormatError(
-                    f"not an integer: {tok.strip()!r}", line=r + 2, column=column
+                    f"not an integer: {tok.strip()!r}", line=line_no, column=column
                 ) from None
             if value < 0 or value >= M:
                 raise SequenceFormatError(
-                    f"spot index {value} outside [0, {M})", line=r + 2, column=column
+                    f"spot index {value} outside [0, {M})", line=line_no, column=column
                 )
             matrix[r, c] = value
             column += len(tok) + 1
@@ -103,14 +104,6 @@ def write_ledger_csv(path, ledger):
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_ledger_json(path, ledger):
-    payload = {
-        "op_count": [int(x) for x in ledger.op_count],
-        "usage": [[int(x) for x in row] for row in ledger.usage],
-    }
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-
-
 def write_fairness_csv(path, report):
     lines = ["q,mean_ops,normalized"]
     for q, mean, norm in zip(report.q_values, report.mean_ops, report.normalized):
@@ -118,17 +111,6 @@ def write_fairness_csv(path, report):
     lines.append(f"# h1 = {report.slope}")
     lines.append(f"# h2 = {report.intercept}")
     _atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def write_fairness_json(path, report):
-    payload = {
-        "q": [int(x) for x in report.q_values],
-        "mean_ops": [float(x) for x in report.mean_ops],
-        "normalized": [float(x) for x in report.normalized],
-        "h1": report.slope,
-        "h2": report.intercept,
-    }
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def write_profile_csv(path, profile: CorrelationProfile):
@@ -154,7 +136,7 @@ def analysis_report_payload(report: AnalysisReport) -> dict:
         },
         "orthogonal_at_zero": report.orthogonal_at_zero,
         "no_hit_zone": report.no_hit_zone,
-        "histograms": [[int(x) for x in row] for row in report.histograms],
+        "histograms": report.histograms.tolist(),
     }
 
 
@@ -165,7 +147,7 @@ def write_analysis_report(path, report: AnalysisReport):
 def collision_report_payload(report: CollisionReport) -> dict:
     return {
         "total_collisions": report.total_collisions,
-        "per_pair": [[int(x) for x in row] for row in report.per_pair],
+        "per_pair": report.per_pair.tolist(),
         "collision_rate": report.collision_rate,
     }
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from hopset.balancer import cfb_balance, fit_linear, mean_operation_curve
 from hopset.correlation import frequency_histogram
-from hopset.errors import FamilySizeError, SingularFitError
+from hopset.errors import FamilySizeError, HopsetError, SingularFitError
 from hopset.mapping import (
     BALANCED,
     BASE,
@@ -126,7 +126,7 @@ def test_balancing_is_deterministic(ms6, plan_b2):
 
 def test_rejects_non_base_input(plan_b2):
     balanced = SequenceSet([[0, 1], [1, 2]], plan_b2, BALANCED)
-    with pytest.raises(ValueError):
+    with pytest.raises(HopsetError, match="expected a base set"):
         cfb_balance(balanced)
 
 

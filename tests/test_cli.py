@@ -3,12 +3,14 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopset import seqio
+from hopset.balancer import mean_operation_curve
 from hopset.cli import _resolve_config, build_parser, main
 from hopset.errors import ConfigError
 from hopset.mapping import SIZE_LIMIT
@@ -39,13 +41,6 @@ def test_generate_repeated_runs_byte_identical(tmp_path, capsys):
     run(capsys, "generate", *SMALL, "--out", str(tmp_path / "two"))
     for name in ("base.txt", "balanced.txt", "ledger.csv", "usage.csv"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
-
-
-def test_generate_json_ledger(tmp_path, capsys):
-    code, _, _ = run(capsys, "generate", *SMALL, "--format", "json", "--out", str(tmp_path))
-    assert code == 0
-    payload = json.loads((tmp_path / "ledger.json").read_text())
-    assert set(payload) == {"op_count", "usage"}
 
 
 def test_generate_rejects_oversized_family(tmp_path, capsys):
@@ -113,38 +108,6 @@ def test_non_primitive_polynomial_is_domain_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "InvalidPolynomialError"
 
 
-def test_config_file_and_flag_precedence(tmp_path, capsys):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"l": 6, "M": 4, "q": 2, "out": str(tmp_path / "a")}))
-    code, _, _ = run(capsys, "generate", "--config", str(cfg_path))
-    assert code == 0
-    assert (tmp_path / "a" / "base.txt").exists()
-    # CLI flag overrides the config file's q
-    code, _, _ = run(capsys, "generate", "--config", str(cfg_path), "--q", "4",
-                     "--out", str(tmp_path / "b"))
-    assert code == 0
-    assert seqio.read_sequence_set(tmp_path / "b" / "base.txt").q == 4
-
-
-def test_unknown_config_key_rejected(tmp_path, capsys):
-    # M alone names the plan, so p and b are unknown keys like any other
-    cfg_path = tmp_path / "run.json"
-    for raw in ({"l": 6, "family": 3}, {"p": 2}, {"b": 2}, {"l": 6, "p": 2, "b": 2}):
-        cfg_path.write_text(json.dumps(raw))
-        code, _, err = run(capsys, "generate", "--config", str(cfg_path), "--out", str(tmp_path))
-        assert code == 2 and "unknown config keys" in json.loads(err)["message"]
-
-
-@pytest.mark.parametrize("raw", [{"q": "abc"}, {"l": 2.5}, {"M": None}, {"l": True},
-                                 {"tau": [7]}, {"M": {}}])
-def test_non_integer_config_value_is_config_error(tmp_path, capsys, raw):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(raw))
-    code, _, err = run(capsys, "generate", "--config", str(cfg_path), "--out", str(tmp_path))
-    assert code == 2
-    assert json.loads(err)["error"] == "ConfigError"
-
-
 @pytest.mark.parametrize("argv", [
     ["generate", "--q", "abc"],
     ["generate", "--format", "xml"],
@@ -159,6 +122,8 @@ def test_non_integer_config_value_is_config_error(tmp_path, capsys, raw):
     ["bogus"],
     ["analyze"],
     ["simulate"],
+    ["generate", "--config", "run.json"],
+    ["fairness", "--format", "csv"],
 ])
 def test_usage_error_is_one_json_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -172,18 +137,10 @@ def test_non_utf8_input_is_io_error(tmp_path, capsys):
     junk = tmp_path / "junk.txt"
     junk.write_bytes(b"\xff\xfe")
     for argv in (["analyze", str(junk), "--out", str(tmp_path)],
-                 ["generate", "--config", str(junk), "--out", str(tmp_path)],
                  ["simulate", str(junk)]):
         code, _, err = run(capsys, *argv)
         assert code == 4 and len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "UnicodeDecodeError"
-
-
-def test_malformed_config_file_is_io_error(tmp_path, capsys):
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text("{not json")
-    code, _, err = run(capsys, "generate", "--config", str(cfg_path))
-    assert code == 4
 
 
 def test_analyze_reports(tmp_path, capsys):
@@ -282,8 +239,9 @@ def test_cli_import_loads_no_dependency_but_numpy():
     probe = ("import sys; before = set(sys.modules); import hopset.cli; "
              "print(*{m.split('.')[0] for m in set(sys.modules) - before}"
              " - set(sys.stdlib_module_names))")
+    # run from the import root of the hopset under test, so that `-c` finds it uninstalled
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          check=True, timeout=60)
+                          check=True, timeout=60, cwd=Path(seqio.__file__).parents[1])
     assert set(done.stdout.split()) == {"hopset", "numpy"}
 
 
@@ -305,21 +263,19 @@ def test_fairness_outputs(tmp_path, capsys):
     assert "h1 = " in out
 
 
-def test_fairness_json_matches_csv(tmp_path, capsys):
-    config = ("fairness", "--l", "6", "--M", "4")
-    code, _, err = run(capsys, *config, "--out", str(tmp_path / "csv"))
+def test_fairness_json_matches_csv(tmp_path, capsys, ms6, plan_b2):
+    # fairness.csv parses back to the report the sweep computes (l=6, M=4): no digit is lost
+    code, out, err = run(capsys, "fairness", "--l", "6", "--M", "4", "--out", str(tmp_path))
     assert code == 0, err
-    code, out, err = run(capsys, *config, "--format", "json", "--out", str(tmp_path / "json"))
-    assert code == 0, err
-    assert out.splitlines()[0] == str(tmp_path / "json" / "fairness.json")
-    payload = json.loads((tmp_path / "json" / "fairness.json").read_text())
-    assert set(payload) == {"q", "mean_ops", "normalized", "h1", "h2"}
-    lines = (tmp_path / "csv" / "fairness.csv").read_text().splitlines()
+    assert out.splitlines()[0] == str(tmp_path / "fairness.csv")
+    report = mean_operation_curve(ms6, plan_b2)
+    lines = (tmp_path / "fairness.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[1:-2]]
-    assert payload["q"] == [int(q) for q, _, _ in rows] == [1, 2, 3, 4]
-    assert payload["mean_ops"] == [float(mean) for _, mean, _ in rows]
-    assert payload["normalized"] == [float(norm) for _, _, norm in rows]
-    assert lines[-2:] == [f"# h1 = {payload['h1']}", f"# h2 = {payload['h2']}"]
+    assert [int(q) for q, _, _ in rows] == report.q_values.tolist() == [1, 2, 3, 4]
+    assert [float(mean) for _, mean, _ in rows] == report.mean_ops.tolist()
+    assert [float(norm) for _, _, norm in rows] == report.normalized.tolist()
+    h1, h2 = (float(line.split(" = ")[1]) for line in lines[-2:])
+    assert (h1, h2) == (report.slope, report.intercept)
 
 
 def test_simulate_balanced_is_collision_free(tmp_path, capsys):
@@ -414,11 +370,11 @@ def test_default_config_full_scale(tmp_path, capsys):
 
 FUZZ_INTS = ["abc", "1_6", "-3", "", str(10**30), *map(str, range(11))]
 FUZZ_VALUES = FUZZ_INTS + ["16", "csv", "json", "xml", "1,1,0,0,1", "1,0,0,0,1"]
-FUZZ_FLAGS = {"generate": ["--M", "--q", "--tau", "--poly", "--format", "--config"],
-              "fairness": ["--M", "--tau", "--poly", "--format", "--config"],
+FUZZ_FLAGS = {"generate": ["--M", "--q", "--tau", "--poly"],
+              "fairness": ["--M", "--tau", "--poly"],
               "analyze": [], "simulate": []}
-FUZZ_FILES = ["base.txt", "balanced.txt", "scenario.json", "config.json", "legacy.json",
-              "broken.json", "junk.txt", "missing.txt", "."]
+FUZZ_FILES = ["base.txt", "balanced.txt", "scenario.json", "broken.json", "junk.txt",
+              "missing.txt", "."]
 
 
 @pytest.fixture(scope="module")
@@ -428,8 +384,6 @@ def fuzz_root(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["generate", "--l", "4", "--M", "4", "--q", "3", "--out", str(root)]) == 0
     (root / "scenario.json").write_text(json.dumps({"hops": 9, "sequences": "base.txt"}))
-    (root / "config.json").write_text(json.dumps({"l": 5, "M": 4, "q": 2}))
-    (root / "legacy.json").write_text(json.dumps({"p": 2, "b": 2}))
     (root / "broken.json").write_text("{oops")
     (root / "junk.txt").write_bytes(b"\xff\xfe")
     return root

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import tracemalloc
 
@@ -130,6 +131,19 @@ def test_out_of_range_spot_rejected(tmp_path):
     assert err.value.column == 3
 
 
+@pytest.mark.parametrize("row, message, column", [
+    ("1,x", "not an integer: 'x'", 3),
+    ("1,4", "spot index 4 outside [0, 4)", 3),
+    ("1,2,3", "expected 2 entries, found 3", None),
+], ids=["token", "spot", "entries"])
+def test_errors_after_a_blank_line_name_the_file_line(tmp_path, row, message, column):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# M=4 n=2 q=2 kind=base\n\n0,1\n{row}\n")
+    with pytest.raises(SequenceFormatError, match=re.escape(message)) as err:
+        seqio.read_sequence_set(path)
+    assert (err.value.line, err.value.column) == (4, column)
+
+
 def test_ledger_csv_layout(tmp_path, family):
     _, _, ledger = family
     path = tmp_path / "ledger.csv"
@@ -146,15 +160,6 @@ def test_usage_csv_matches_matrix(tmp_path, family):
     seqio.write_histograms_csv(path, ledger.usage)
     rows = [list(map(int, line.split(","))) for line in path.read_text().splitlines()]
     assert np.array_equal(np.array(rows), ledger.usage)
-
-
-def test_ledger_json_payload(tmp_path, family):
-    _, _, ledger = family
-    path = tmp_path / "ledger.json"
-    seqio.write_ledger_json(path, ledger)
-    payload = json.loads(path.read_text())
-    assert payload["op_count"] == ledger.op_count.tolist()
-    assert payload["usage"] == ledger.usage.tolist()
 
 
 def test_fairness_csv_rows_and_fit(tmp_path, ms6, plan_b2):

@@ -71,7 +71,7 @@ def test_determinism(family):
 
 def test_hop_horizon_must_be_positive(family):
     base, _ = family
-    with pytest.raises(ValueError):
+    with pytest.raises(ScenarioError):
         SimScenario(sset=base, hops=0)
 
 
