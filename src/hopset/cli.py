@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .balancer import cfb_balance, mean_operation_curve
 from .correlation import analyze_set, pairwise_profiles
-from .errors import ConfigError, FamilySizeError, HopsetError, SequenceFormatError
+from .errors import ConfigError, HopsetError, SequenceFormatError
 from .lfsr import LfsrConfig, default_polynomial, generate_m_sequence, is_prime
 from .mapping import (
     SIZE_LIMIT,
@@ -30,6 +30,7 @@ from .mapping import (
     build_base_set,
     default_shift,
     plan_from_spot_count,
+    validate_family,
 )
 from . import seqio
 from .sim import simulate
@@ -43,7 +44,7 @@ class RunConfig:
     l: int
     q: int
     tau: int | None  # None: the default shift rule
-    poly: tuple | None  # None: the built-in table
+    poly: list | None  # None: the built-in table
     out: str
 
     @property
@@ -51,62 +52,45 @@ class RunConfig:
         return self.plan.p**self.l - 1
 
 
-def _parse_poly(value, p):
-    try:
-        taps = tuple(int(c) for c in value.split(","))
-    except ValueError:
-        raise ConfigError(f"polynomial taps must be integers, got {value!r}") from None
-    if any(c < 0 or c >= p for c in taps):
-        raise ConfigError(f"polynomial coefficients must lie in [0, {p})")
-    return taps
-
-
-def _as_int(key, value):
-    """An integer flag: an optional '-' and decimal digits; anything else is a ConfigError."""
-    if not value.removeprefix("-").isdecimal():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+def integer(value):
+    """An integer flag: one run of ASCII digits (seqio.integers), else ValueError."""
+    [number] = seqio.integers(value)  # '1,2' parses but does not unpack
+    return number
 
 
 def _resolve_config(args, family=True) -> RunConfig:
     """Check each flag once, in a fixed order, before any work.
 
     M alone names the plan: plan_from_spot_count splits it into the prime p
-    and the word width b. Commands without a family notion (fairness sweeps
-    q internally) skip the q bound check. M, the period n = p^l - 1 and the
-    set size are refused above SIZE_LIMIT before any of them is factored or
-    allocated.
+    and the word width b; fairness, which sweeps q itself, checks q = 1. M,
+    the period n = p^l - 1 and the set size are refused above SIZE_LIMIT
+    before any of them is factored or allocated.
     """
+    q = args.q if family else 1
     try:
-        plan = plan_from_spot_count(_as_int("M", args.M))
+        plan = plan_from_spot_count(args.M)
+        validate_family(q, plan)
     except HopsetError as exc:
         raise ConfigError(str(exc)) from None
-    l = _as_int("l", args.l)
+    l = args.l
     if not 1 <= l < SIZE_LIMIT.bit_length() or plan.p**l > SIZE_LIMIT:
         raise ConfigError(f"l={l} must be at least 1 with p^l={plan.p}^{l} "
                           f"at most the limit {SIZE_LIMIT}")
     n = plan.p**l - 1
 
-    if family:
-        q = _as_int("q", args.q)
-        if q < 1 or q > plan.M:
-            raise ConfigError(str(FamilySizeError(q, plan.M)))
-    else:
-        q = 1
     # the largest set: q members, or M for the fairness sweep
     entries = (q if family else plan.M) * (n // plan.b)
     if entries > SIZE_LIMIT:
         raise ConfigError(f"largest set holds {entries} entries, above the limit {SIZE_LIMIT}")
 
-    tau = poly = None
-    if args.tau is not None:
-        tau = _as_int("tau", args.tau)
+    if (tau := args.tau) is not None:
         if tau >= n:
             raise ConfigError(f"tau={tau} must be below the period n={n}")
         if not is_prime(tau):
             raise ConfigError(f"tau={tau} must be prime")
-    if args.poly is not None:
-        poly = _parse_poly(args.poly, plan.p)
+    if (poly := args.poly) is not None:
+        if any(c >= plan.p for c in poly):
+            raise ConfigError(f"polynomial coefficients must lie in [0, {plan.p})")
         if len(poly) != l + 1:
             raise ConfigError(f"polynomial has degree {len(poly) - 1}, expected l={l}")
     return RunConfig(plan, l, q, tau, poly, args.out)
@@ -145,11 +129,11 @@ def cmd_analyze(args) -> int:
     stems = [Path(path).stem for path in args.files]
     if repeated := sorted({stem for stem in stems if stems.count(stem) > 1}):
         raise ConfigError(f"inputs share the output stems {repeated}; each stem names its outputs")
-    out = _out_dir(args.out)
     for input_path, stem in zip(args.files, stems):
         sset = seqio.read_sequence_set(input_path)
         profiles = pairwise_profiles(sset)
         report = analyze_set(sset, profiles=profiles)
+        out = _out_dir(args.out)  # made only once there is an output to write
         seqio.write_analysis_report(out / f"{stem}.report.json", report)
         seqio.write_histograms_csv(out / f"{stem}.histograms.csv", report.histograms)
         for profile in profiles:
@@ -179,15 +163,16 @@ def cmd_simulate(args) -> int:
 
 
 def _add_config_flags(parser, with_family=True):
-    parser.add_argument("--l", default="14",
+    parser.add_argument("--l", type=integer, default="14",
                         help="primitive polynomial degree (default %(default)s)")
-    parser.add_argument("--M", default="16",
+    parser.add_argument("--M", type=integer, default="16",
                         help="frequency spot count p^b, a prime power (default %(default)s)")
     if with_family:
-        parser.add_argument("--q", default="5",
+        parser.add_argument("--q", type=integer, default="5",
                             help="family size, 1 <= q <= M (default %(default)s)")
-    parser.add_argument("--tau", help="prime rotation step between members")
-    parser.add_argument("--poly", help="polynomial taps c0,...,cl, lowest degree first")
+    parser.add_argument("--tau", type=integer, help="prime rotation step between members")
+    parser.add_argument("--poly", type=seqio.integers,
+                        help="polynomial taps c0,...,cl, lowest degree first")
     parser.add_argument("--out", default=".", help="output directory (default %(default)s)")
 
 

@@ -1,15 +1,21 @@
 """File formats: sequence sets, ledgers, fairness curves, reports, scenarios.
 
-Sequence sets travel as plain text, one sequence per line of comma-separated
-decimal spot indices, preceded by a single header line:
+Sequence sets travel as plain text, a single header line and then one
+sequence per line of comma-separated spot indices:
 
     # M=<spots> n=<length> q=<members> kind=<base|balanced>
+
+Every integer in outside text (header fields, sequence entries, CLI flags) is
+a run of ASCII digits [0-9], with no sign, space, '_' or other digit: one
+grammar, `integers`, the one the writer writes. The reader checks a row once
+and converts it with one numpy assignment.
 
 All writes go through a temp file and rename, so partially written outputs
 never appear under the target name. CSV output uses '.' decimals and '\n'
 newlines regardless of locale.
 """
 
+import contextlib
 import json
 import os
 import re
@@ -23,7 +29,20 @@ from .errors import HopsetError, ScenarioError, SequenceFormatError
 from .mapping import SIZE_LIMIT, SequenceSet, plan_from_spot_count
 from .sim import CollisionReport, SimScenario
 
-_HEADER_RE = re.compile(r"^#\s*M=(\d+)\s+n=(\d+)\s+q=(\d+)\s+kind=(base|balanced)\s*$")
+_DIGITS = "[0-9]+"
+_INTEGERS_RE = re.compile(f"{_DIGITS}(?:,{_DIGITS})*")
+_HEADER_RE = re.compile(rf"#\s*M=({_DIGITS})\s+n=({_DIGITS})\s+q=({_DIGITS})"
+                        r"\s+kind=(base|balanced)\s*")
+
+
+def integers(text, out=None):
+    """Comma-separated integers in the one grammar, else ValueError; into int64 `out` if given."""
+    if not _INTEGERS_RE.fullmatch(text):
+        raise ValueError(f"not comma-separated ASCII integers: {text!r}")
+    if out is None:
+        return list(map(int, text.split(",")))
+    out[:] = text.split(",")
+    return out
 
 
 def _atomic_write_text(path, text):
@@ -49,16 +68,13 @@ def write_sequence_set(path, sset: SequenceSet):
 
 def read_sequence_set(path) -> SequenceSet:
     """Parse a sequence-set file; raises SequenceFormatError naming line/column."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise SequenceFormatError("empty sequence file", line=1)
-    match = _HEADER_RE.match(lines[0])
+    lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    match = _HEADER_RE.fullmatch(lines[0])
     if not match:
         raise SequenceFormatError(
             "expected header '# M=<M> n=<n> q=<q> kind=<base|balanced>'", line=1
         )
-    M, n, q, kind = int(match[1]), int(match[2]), int(match[3]), match[4]
+    M, n, q = integers(",".join(match.group(1, 2, 3)))
     try:
         plan = plan_from_spot_count(M)
     except HopsetError as exc:
@@ -78,22 +94,21 @@ def read_sequence_set(path) -> SequenceSet:
             raise SequenceFormatError(f"expected {n} entries, found {found}", line=line_no)
     matrix = np.empty((q, n), dtype=np.int64)
     for r, (line_no, row) in enumerate(rows):
-        column = 1
-        for c, tok in enumerate(row.split(",")):
+        with contextlib.suppress(ValueError, OverflowError):
+            if integers(row, out=matrix[r]).max() < M:
+                continue
+        column = 1  # a failing row alone is scanned, to name its first bad entry
+        for token in row.split(","):
             try:
-                value = int(tok)
+                [value] = integers(token)
+                message = f"spot index {value} outside [0, {M})" if value >= M else None
             except ValueError:
-                raise SequenceFormatError(
-                    f"not an integer: {tok.strip()!r}", line=line_no, column=column
-                ) from None
-            if value < 0 or value >= M:
-                raise SequenceFormatError(
-                    f"spot index {value} outside [0, {M})", line=line_no, column=column
-                )
-            matrix[r, c] = value
-            column += len(tok) + 1
+                message = f"not an integer: {token!r}"
+            if message:
+                raise SequenceFormatError(message, line=line_no, column=column)
+            column += len(token) + 1
     try:
-        return SequenceSet(matrix, plan, kind)
+        return SequenceSet(matrix, plan, match[4])
     except HopsetError as exc:
         raise SequenceFormatError(str(exc)) from None
 

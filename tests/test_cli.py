@@ -17,6 +17,9 @@ from hopset.mapping import SIZE_LIMIT
 
 SMALL = ["--l", "6", "--M", "4", "--q", "3"]
 PRIME_30_DIGITS = str(10**29 + 319)
+# Integers in outside text are runs of ASCII digits joined by commas. These
+# spellings break that grammar, except the last, which keeps it but exceeds int64.
+SPELLINGS = [" 1", "+1", "1_0", "\u0661", "-0", "", "9" * 25]
 
 
 def run(capsys, *argv):
@@ -131,6 +134,47 @@ def test_usage_error_is_one_json_line(tmp_path, monkeypatch, capsys, argv):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "ConfigError"
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [
+    *[(flag, value) for flag in ("--l", "--q", "--tau", "--M") for value in SPELLINGS + ["3,"]],
+    *[("--poly", f"1,{value},0,1") for value in SPELLINGS],
+    ("--poly", "1,1,0,1,"),
+])
+def test_integer_flag_grammar(tmp_path, capsys, flag, value):
+    flags = {"--l": "3", "--M": "4", "--q": "2", "--tau": "5", "--poly": "1,1,0,1", flag: value}
+    argv = [item for pair in flags.items() for item in pair]
+    code, out, err = run(capsys, "generate", *argv, "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row, message, column", [
+    *[(f"0,{value},1", f"not an integer: {value!r}", 3) for value in SPELLINGS[:-1]],
+    ("0,1,", "not an integer: ''", 5),
+    (f"0,{SPELLINGS[-1]},1", f"spot index {SPELLINGS[-1]} outside [0, 4)", 3),
+])
+def test_sequence_row_grammar(tmp_path, capsys, row, message, column):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"# M=4 n=3 q=2 kind=base\n0,1,2\n{row}\n")
+    code, out, err = run(capsys, "analyze", str(bad), "--out", str(tmp_path / "out"))
+    assert code == 4 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["message"] == f"{message} (line 3, column {column})"
+
+
+@pytest.mark.parametrize("text, where", [
+    ("# M=4 n=3 q=1 kind=base\n0,x,1\n", "(line 2, column 3)"),
+    ("# M=\u0664 n=3 q=1 kind=base\n0,1,2\n", "(line 1)"),  # an Arabic-Indic 4
+], ids=["token", "header"])
+def test_analyze_parse_error_leaves_no_out_dir(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code, _, err = run(capsys, "analyze", str(bad), "--out", str(tmp_path / "out"))
+    assert code == 4 and len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "SequenceFormatError" and payload["message"].endswith(where)
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_utf8_input_is_io_error(tmp_path, capsys):
@@ -373,8 +417,10 @@ FUZZ_VALUES = FUZZ_INTS + ["16", "csv", "json", "xml", "1,1,0,0,1", "1,0,0,0,1"]
 FUZZ_FLAGS = {"generate": ["--M", "--q", "--tau", "--poly"],
               "fairness": ["--M", "--tau", "--poly"],
               "analyze": [], "simulate": []}
+# bad<i>.txt holds SPELLINGS[i] as a spot; arabic_header.txt has M in Arabic-Indic digits
 FUZZ_FILES = ["base.txt", "balanced.txt", "scenario.json", "broken.json", "junk.txt",
-              "missing.txt", "."]
+              "missing.txt", ".", "arabic_header.txt",
+              *[f"bad{i}.txt" for i in range(len(SPELLINGS))]]
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +432,9 @@ def fuzz_root(tmp_path_factory):
     (root / "scenario.json").write_text(json.dumps({"hops": 9, "sequences": "base.txt"}))
     (root / "broken.json").write_text("{oops")
     (root / "junk.txt").write_bytes(b"\xff\xfe")
+    (root / "arabic_header.txt").write_text("# M=\u0664 n=3 q=1 kind=base\n0,1,2\n")
+    for i, value in enumerate(SPELLINGS):
+        (root / f"bad{i}.txt").write_text(f"# M=4 n=3 q=1 kind=base\n0,{value},1\n")
     return root
 
 

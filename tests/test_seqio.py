@@ -6,7 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import base_families
 from hopset import seqio
 from hopset.balancer import cfb_balance, mean_operation_curve
 from hopset.correlation import analyze_set, correlation_profile
@@ -30,6 +32,25 @@ def test_round_trip_both_kinds(tmp_path, family):
         loaded = seqio.read_sequence_set(path)
         assert loaded.kind == sset.kind
         assert loaded.plan == sset.plan
+        assert np.array_equal(loaded.as_matrix(), sset.as_matrix())
+
+
+@pytest.fixture(scope="module")
+def round_trip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip")
+
+
+@settings(derandomize=True, deadline=None)
+@given(base_families())
+def test_round_trip_over_gf_p(round_trip_dir, family):
+    # p in {2, 3, 5} and M up to 625: spots of one to three digits
+    base = build_base_set(*family)
+    balanced, _ = cfb_balance(base)
+    for sset in (base, balanced):
+        path = round_trip_dir / f"{sset.kind}.txt"
+        seqio.write_sequence_set(path, sset)
+        loaded = seqio.read_sequence_set(path)
+        assert (loaded.kind, loaded.plan) == (sset.kind, sset.plan)
         assert np.array_equal(loaded.as_matrix(), sset.as_matrix())
 
 
@@ -71,10 +92,13 @@ def test_empty_file_rejected(tmp_path):
 
 def test_bad_header_rejected(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("M=4 n=2 q=1 kind=base\n0,1\n")
-    with pytest.raises(SequenceFormatError) as err:
-        seqio.read_sequence_set(path)
-    assert err.value.line == 1
+    # no '#', then header fields outside the integer grammar: an Arabic-Indic 4, a sign
+    for header in ("M=4 n=2 q=1 kind=base", "# M=\u0664 n=2 q=1 kind=base",
+                   "# M=4 n=+2 q=1 kind=base"):
+        path.write_text(header + "\n0,1\n")
+        with pytest.raises(SequenceFormatError) as err:
+            seqio.read_sequence_set(path)
+        assert err.value.line == 1
 
 
 def test_non_prime_power_spot_count(tmp_path):
