@@ -9,14 +9,11 @@ in the same hop while every member uses all spots nearly equally.
 from .balancer import FairnessReport, OperationLedger, cfb_balance, fit_linear, mean_operation_curve
 from .correlation import (
     AnalysisReport,
-    CorrelationProfile,
     analyze_set,
     correlation_profile,
     frequency_histogram,
     hamming_correlation,
-    pairwise_profiles,
     peng_fan_bound,
-    verify_orthogonality,
 )
 from .errors import (
     ConfigError,

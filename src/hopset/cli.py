@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .balancer import cfb_balance, mean_operation_curve
-from .correlation import analyze_set, pairwise_profiles
+from .correlation import analyze_set
 from .errors import ConfigError, HopsetError, SequenceFormatError
 from .lfsr import LfsrConfig, default_polynomial, generate_m_sequence, is_prime
 from .mapping import (
@@ -131,16 +131,15 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"inputs share the output stems {repeated}; each stem names its outputs")
     for input_path, stem in zip(args.files, stems):
         sset = seqio.read_sequence_set(input_path)
-        profiles = pairwise_profiles(sset)
-        report = analyze_set(sset, profiles=profiles)
+        report = analyze_set(sset)
         out = _out_dir(args.out)  # made only once there is an output to write
         seqio.write_analysis_report(out / f"{stem}.report.json", report)
         seqio.write_histograms_csv(out / f"{stem}.histograms.csv", report.histograms)
-        for profile in profiles:
-            u, v = profile.pair
-            seqio.write_profile_csv(out / f"{stem}.profile.{u}-{v}.csv", profile)
+        for u, block in enumerate(report.profiles):
+            for v, values in enumerate(block, start=u):
+                seqio.write_profile_csv(out / f"{stem}.profile.{u}-{v}.csv", values)
         print(out / f"{stem}.report.json")
-        del sset, profiles, report, profile  # not held while the next file is analyzed
+        del sset, report, block, values  # not held while the next file is analyzed
     return 0
 
 

@@ -17,27 +17,17 @@ import numpy as np
 from .errors import HopsetError
 from .mapping import SequenceSet
 
-AUTO = "auto"
-CROSS = "cross"
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationProfile:
-    """Hamming correlation counts for every delay 0..L-1 of one pair."""
-
-    values: np.ndarray = field(repr=False)
-    kind: str
-    pair: tuple
-
 
 @dataclass(frozen=True, eq=False)
 class AnalysisReport:
-    """Set-level correlation summary.
+    """Set-level correlation summary and the profiles it is read from.
 
     max_hamming is the largest correlation over all cross pairs at any
     delay and all members at nonzero auto delay; peng_fan is the exact
     rational lower bound on that maximum for any set of the same shape, or
     None for a one-member set of one hop (L*q = 1), where it is undefined.
+    profiles[u] is member u's read-only (q-u) x L int64 block: row v-u is
+    G_uv for v >= u, so row 0 is u's auto profile.
     """
 
     max_hamming: int
@@ -45,6 +35,7 @@ class AnalysisReport:
     histograms: np.ndarray
     no_hit_zone: int
     orthogonal_at_zero: bool
+    profiles: list = field(repr=False)
 
 
 def hamming_correlation(sset: SequenceSet, u, v, delay) -> int:
@@ -75,11 +66,10 @@ def _correlate(cross_u, n):
     return values
 
 
-def correlation_profile(sset: SequenceSet, u, v) -> CorrelationProfile:
-    """Hamming correlation of members u and v at every delay; kind is auto iff u == v."""
+def correlation_profile(sset: SequenceSet, u, v) -> np.ndarray:
+    """Hamming correlation of members u and v at every delay, from those two members alone."""
     rows = sset.as_matrix()[[u, v]]
-    values = _correlate(_cross_spectra(rows, sset.plan.M)[0], sset.length)[1]
-    return CorrelationProfile(values=values, kind=AUTO if u == v else CROSS, pair=(u, v))
+    return _correlate(_cross_spectra(rows, sset.plan.M)[0], sset.length)[1]
 
 
 def peng_fan_bound(n_hops, q, M) -> Fraction:
@@ -105,54 +95,31 @@ def zero_delay_hits(matrix) -> np.ndarray:
     return hits + hits.T
 
 
-def verify_orthogonality(sset: SequenceSet):
-    """Zero-delay collision check across all member pairs.
+def analyze_set(sset: SequenceSet) -> AnalysisReport:
+    """Full correlation survey of a set: every pairwise profile, peak sidelobe, bound, histograms.
 
-    Returns a list of (u, v, count), u < v in index order, for every pair
-    with a nonzero correlation at delay 0; an empty list means the set is
-    orthogonal.
+    Cost grows with q^2 * M * L log L. Each member's block is checked
+    against exact identities (row sums h_u . h_v, G_uu(0) = L, G_uv(0) the
+    zero-delay hits); a failure is a HopsetError.
     """
-    hits = np.triu(zero_delay_hits(sset.as_matrix()))
-    return [(int(u), int(v), int(hits[u, v])) for u, v in zip(*np.nonzero(hits))]
-
-
-def pairwise_profiles(sset: SequenceSet):
-    """Profiles for every member pair u <= v, autos included, in index order."""
-    cross = _cross_spectra(sset.as_matrix(), sset.plan.M)
-    profiles = []
-    for u in range(sset.q):
+    matrix, q, n = sset.as_matrix(), sset.q, sset.length
+    histograms = frequency_histogram(sset)
+    zero = zero_delay_hits(matrix)
+    cross = _cross_spectra(matrix, sset.plan.M)
+    profiles, max_hamming, hits = [], 0, np.zeros(n, dtype=bool)
+    for u in range(q):
         # each member's cross-spectra are freed once its profiles exist
-        rows, cross[u] = _correlate(cross[u], sset.length), None
-        for v, values in enumerate(rows, start=u):
-            profiles.append(CorrelationProfile(values, AUTO if u == v else CROSS, (u, v)))
-    return profiles
-
-
-def analyze_set(sset: SequenceSet, profiles=None) -> AnalysisReport:
-    """Full correlation survey of a set: peak sidelobes, bound, histograms.
-
-    Computes every pairwise profile (cost grows with q^2 * M * L log L)
-    unless a precomputed list from pairwise_profiles is passed in.
-    """
-    q, n = sset.q, sset.length
-    if profiles is None:
-        profiles = pairwise_profiles(sset)
+        block, cross[u] = _correlate(cross[u], n), None
+        if (block[0, 0] != n or (block[1:, 0] != zero[u, u + 1:]).any()
+                or (block.sum(axis=1) != histograms[u] @ histograms[u:].T).any()):
+            raise HopsetError(f"correlation profiles of member {u} break an exact identity")
+        max_hamming = max(max_hamming, int(block[0, 1:].max(initial=0)),
+                          int(block[1:].max(initial=0)))
+        hits |= block[1:].any(axis=0)
+        profiles.append(block)
 
     # a hit at cyclic delay d is also a hit at -(n-d); only delay 0 maps to -1
     dist = np.minimum(np.arange(n), n - np.arange(n)) - 1
-    max_hamming = 0
-    zone = n - 1
-    for profile in profiles:
-        if profile.kind == AUTO:
-            max_hamming = max(max_hamming, int(profile.values[1:].max(initial=0)))
-        else:
-            max_hamming = max(max_hamming, int(profile.values.max()))
-            zone = min(zone, int(dist[profile.values != 0].min(initial=zone)))
-
-    return AnalysisReport(
-        max_hamming=max_hamming,
-        peng_fan=peng_fan_bound(n, q, sset.plan.M) if n * q > 1 else None,
-        histograms=frequency_histogram(sset),
-        no_hit_zone=zone,
-        orthogonal_at_zero=zone >= 0,
-    )
+    zone = int(dist[hits].min(initial=n - 1))
+    peng_fan = peng_fan_bound(n, q, sset.plan.M) if n * q > 1 else None
+    return AnalysisReport(max_hamming, peng_fan, histograms, zone, zone >= 0, profiles)

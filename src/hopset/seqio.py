@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlation import AnalysisReport, CorrelationProfile
+from .correlation import AnalysisReport
 from .errors import HopsetError, ScenarioError, SequenceFormatError
 from .mapping import SIZE_LIMIT, SequenceSet, plan_from_spot_count
 from .sim import CollisionReport, SimScenario
@@ -128,9 +128,10 @@ def write_fairness_csv(path, report):
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_profile_csv(path, profile: CorrelationProfile):
+def write_profile_csv(path, values):
+    """One pair's profile, a `delay,count` line per delay, formatted from Python ints."""
     lines = ["delay,count"]
-    lines += [f"{d},{int(c)}" for d, c in enumerate(profile.values)]
+    lines += [f"{d},{c}" for d, c in enumerate(values.tolist())]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -169,8 +169,8 @@ def test_criterion_6_autocorrelation_preservation(family16):
     ok = True
     worst = 0.0
     for a in range(5):
-        auto_before = correlation_profile(base, a, a).values
-        auto_after = correlation_profile(balanced, a, a).values
+        auto_before = correlation_profile(base, a, a)
+        auto_after = correlation_profile(balanced, a, a)
         if auto_before[0] != 4095 or auto_after[0] != 4095:
             ok = False
         mean_diff = float(np.abs(auto_before - auto_after).mean())
@@ -224,7 +224,7 @@ def test_criterion_9_bruteforce_oracle_equivalence():
             for u in range(q):
                 for v in range(q):
                     rows_u, rows_v = mat[u].tolist(), mat[v].tolist()
-                    profile = correlation_profile(sset, u, v).values
+                    profile = correlation_profile(sset, u, v)
                     naive = [naive_hamming(rows_u, rows_v, d) for d in range(sset.length)]
                     if profile.tolist() != naive:
                         ok = False

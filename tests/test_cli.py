@@ -198,9 +198,17 @@ def test_analyze_reports(tmp_path, capsys):
     base_report = json.loads((tmp_path / "analysis" / "base.report.json").read_text())
     assert base_report["orthogonal_at_zero"] is False
     assert base_report["no_hit_zone"] == -1
-    # q=3 -> 6 pairwise profiles incl. autos, plus histograms
+    # q=3 -> 6 pairwise profiles incl. autos, each a brute-force count per delay
     profiles = sorted(p.name for p in (tmp_path / "analysis").glob("balanced.profile.*"))
     assert len(profiles) == 6
+    matrix = seqio.read_sequence_set(tmp_path / "balanced.txt").as_matrix().tolist()
+    for u in range(3):
+        for v in range(u, 3):
+            counts = [sum(a == b for a, b in zip(matrix[u], matrix[v][d:] + matrix[v][:d]))
+                      for d in range(31)]
+            expected = "delay,count\n" + "".join(f"{d},{c}\n" for d, c in enumerate(counts))
+            path = tmp_path / "analysis" / f"balanced.profile.{u}-{v}.csv"
+            assert path.read_bytes() == expected.encode()
     hist = (tmp_path / "analysis" / "balanced.histograms.csv").read_text().splitlines()
     assert len(hist) == 3
 

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopset import correlation
 from hopset.balancer import cfb_balance
 from hopset.correlation import (
-    AUTO,
-    CROSS,
     analyze_set,
     correlation_profile,
     frequency_histogram,
     hamming_correlation,
-    pairwise_profiles,
     peng_fan_bound,
-    verify_orthogonality,
+    zero_delay_hits,
 )
 from hopset.errors import HopsetError
 from hopset.mapping import BASE, FamilyConfig, FrequencyPlan, SequenceSet, build_base_set
@@ -76,28 +74,20 @@ def test_profile_matches_naive(small_sets):
         for u in range(sset.q):
             for v in range(u, sset.q):
                 profile = correlation_profile(sset, u, v)
-                assert profile.pair == (u, v)
-                assert profile.values.tolist() == naive_profile(mat[u].tolist(), mat[v].tolist())
-
-
-def test_profile_kinds(small_sets):
-    base, _ = small_sets
-    assert correlation_profile(base, 0, 0).kind == AUTO
-    assert correlation_profile(base, 0, 1).kind == CROSS
+                assert profile.tolist() == naive_profile(mat[u].tolist(), mat[v].tolist())
 
 
 def test_auto_profile_peak(small_sets):
     base, _ = small_sets
-    profile = correlation_profile(base, 2, 2)
-    assert profile.values[0] == 31
+    assert correlation_profile(base, 2, 2)[0] == 31
 
 
 def test_symmetry_identity(small_sets):
     # G_uv(d) == G_vu(n - d mod n)
     base, _ = small_sets
     n = base.length
-    p_uv = correlation_profile(base, 0, 3).values
-    p_vu = correlation_profile(base, 3, 0).values
+    p_uv = correlation_profile(base, 0, 3)
+    p_vu = correlation_profile(base, 3, 0)
     for d in range(n):
         assert p_uv[d] == p_vu[(n - d) % n]
 
@@ -118,15 +108,23 @@ def test_inexact_fft_result_is_a_math_error(small_sets, monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
     with pytest.raises(HopsetError, match="not integral"):
-        pairwise_profiles(small_sets[0])
+        analyze_set(small_sets[0])
 
 
-def test_pairwise_profiles_cover_upper_triangle(small_sets):
-    base, _ = small_sets
-    profiles = pairwise_profiles(base)
-    assert [p.pair for p in profiles] == [(u, v) for u in range(4) for v in range(u, 4)]
-    for p in profiles:
-        assert p.kind == (AUTO if p.pair[0] == p.pair[1] else CROSS)
+@pytest.mark.parametrize("member", [0, 3])  # a full block and a one-row block
+def test_broken_identity_is_a_math_error(small_sets, monkeypatch, member):
+    # an accumulator that misses one spot for one member breaks its identities
+    cross_spectra = correlation._cross_spectra
+
+    def skip_one_spot(matrix, M):
+        cross = cross_spectra(matrix, M)
+        spec = np.fft.rfft(matrix == 1, axis=-1)
+        cross[member] -= spec[member].conj() * spec[member:]
+        return cross
+
+    monkeypatch.setattr(correlation, "_cross_spectra", skip_one_spot)
+    with pytest.raises(HopsetError, match=f"member {member} break"):
+        analyze_set(small_sets[1])
 
 
 # --- bound ------------------------------------------------------------------
@@ -155,21 +153,24 @@ def test_bound_degenerate_division():
 
 def test_balanced_set_is_orthogonal(small_sets):
     _, balanced = small_sets
-    assert verify_orthogonality(balanced) == []
+    assert not zero_delay_hits(balanced.as_matrix()).any()
+    assert analyze_set(balanced).orthogonal_at_zero
 
 
 def test_base_set_has_violations(small_sets):
     base, _ = small_sets
-    violations = verify_orthogonality(base)
-    assert violations
+    hits = zero_delay_hits(base.as_matrix())
+    assert hits.any() and not analyze_set(base).orthogonal_at_zero
     mat = base.as_matrix().tolist()
-    counts = {(u, v): naive_hamming(mat[u], mat[v], 0) for u in range(4) for v in range(u + 1, 4)}
-    assert violations == [(u, v, c) for (u, v), c in counts.items() if c]
+    counts = [[naive_hamming(mat[u], mat[v], 0) if u != v else 0 for v in range(4)]
+              for u in range(4)]
+    assert hits.tolist() == counts
 
 
 def test_single_member_vacuously_orthogonal(ms6, plan_b2):
     sset = build_base_set(ms6, FamilyConfig(q=1, tau=5), plan_b2)
-    assert verify_orthogonality(sset) == []
+    assert zero_delay_hits(sset.as_matrix()).tolist() == [[0]]
+    assert analyze_set(sset).orthogonal_at_zero
 
 
 def test_histogram_counts(plan_b2):
@@ -215,7 +216,7 @@ def test_no_hit_zone_matches_bruteforce(small_sets):
 def test_no_hit_zone_disjoint_supports_span_full_period(plan_b2):
     # members on disjoint spot alphabets never collide at any delay
     sset = SequenceSet([[0, 1, 0, 1, 0, 1], [2, 3, 2, 3, 2, 3]], plan_b2, BASE)
-    assert verify_orthogonality(sset) == []
+    assert not zero_delay_hits(sset.as_matrix()).any()
     assert analyze_set(sset).no_hit_zone == 5
 
 
@@ -231,7 +232,7 @@ def test_analyze_report_consistency(small_sets):
                 profile = naive_profile(mat[u].tolist(), mat[v].tolist())
                 expected_max = max(expected_max, max(profile[1:] if u == v else profile))
         assert report.max_hamming == expected_max
-        assert report.orthogonal_at_zero == (verify_orthogonality(sset) == [])
+        assert report.orthogonal_at_zero == (not zero_delay_hits(mat).any())
         assert report.peng_fan == peng_fan_bound(sset.length, sset.q, 4)
         assert report.histograms.shape == (sset.q, 4)
         assert (report.histograms.sum(axis=1) == sset.length).all()
@@ -255,13 +256,15 @@ def test_fft_engine_matches_bruteforce(sset):
     mat = sset.as_matrix().tolist()
     q, n, M = sset.q, sset.length, sset.plan.M
     naive = {(u, v): naive_profile(mat[u], mat[v]) for u in range(q) for v in range(q)}
-    profiles = pairwise_profiles(sset)
-    assert [p.pair for p in profiles] == [(u, v) for u in range(q) for v in range(u, q)]
-    for p in profiles:
-        u, v = p.pair
-        assert p.values.tolist() == naive[u, v]
-        h_u, h_v = (np.bincount(mat[w], minlength=M) for w in (u, v))
-        assert int(p.values.sum()) == int(h_u @ h_v)
+    report = analyze_set(sset)
+    # block u holds G_uv for v = u..q-1, in that order, read-only
+    assert [block.shape for block in report.profiles] == [(q - u, n) for u in range(q)]
+    for u, block in enumerate(report.profiles):
+        assert block.dtype == np.int64 and not block.flags.writeable
+        for v, values in enumerate(block, start=u):
+            assert values.tolist() == naive[u, v]
+            h_u, h_v = (np.bincount(mat[w], minlength=M) for w in (u, v))
+            assert int(values.sum()) == int(h_u @ h_v)
 
     expected_max = max(max(naive[u, v][1:] if u == v else naive[u, v], default=0)
                        for u in range(q) for v in range(q))
@@ -274,7 +277,6 @@ def test_fft_engine_matches_bruteforce(sset):
         hit = [d for d in range(1, n) if any(naive[u, v][d] for u in range(q)
                                              for v in range(q) if u != v)]
         expected_zone = hit[0] - 1 if hit else n - 1
-    report = analyze_set(sset, profiles=profiles)
     assert (report.peng_fan is None) == (n * q == 1)  # the bound divides by L*q - 1
     assert report.max_hamming == expected_max
     assert report.orthogonal_at_zero == (not any(zero))

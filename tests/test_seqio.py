@@ -206,8 +206,8 @@ def test_profile_csv(tmp_path, family):
     seqio.write_profile_csv(path, profile)
     lines = path.read_text().splitlines()
     assert lines[0] == "delay,count"
+    assert lines[1:] == [f"{d},{c}" for d, c in enumerate(profile.tolist())]
     assert len(lines) == 1 + base.length
-    assert lines[1] == f"0,{profile.values[0]}"
 
 
 def test_analysis_report_payload_keys(family):
