@@ -74,37 +74,36 @@ def cfb_balance(base: SequenceSet):
         raise HopsetError(f"expected a base set, got kind={base.kind!r}")
     validate_family(base.q, base.plan)
 
-    matrix = np.array(base.as_matrix(), order="F")  # the one writable copy
-    M = base.plan.M
+    matrix = base.as_matrix().copy()  # the one writable copy, C order
     usage = frequency_histogram(base).tolist()
     op_count = [0] * base.q
 
     for i in collided_columns(matrix):
         col = matrix[:, i].tolist()
-        holders = {}
+        keeper = {}  # spot -> first member with the most operations so far
         for a, f in enumerate(col):
-            holders.setdefault(f, []).append(a)
-        available = [f for f in range(M) if f not in holders]
-        collided = sorted(f for f, mem in holders.items() if len(mem) > 1)
-        for f in collided:
-            members = holders[f]
-            top = max(op_count[a] for a in members)
-            keeper = min(a for a in members if op_count[a] == top)
-            movers = sorted((a for a in members if a != keeper),
-                            key=lambda a: (op_count[a], a))
-            for a in movers:
-                row_usage = usage[a]
-                # min() keeps the first (lowest-index) spot among ties
-                f_new = min(available, key=row_usage.__getitem__)
-                available.remove(f_new)
-                matrix[a, i] = f_new
-                row_usage[f] -= 1
-                row_usage[f_new] += 1
-                op_count[a] += 1
+            if f not in keeper or op_count[a] > op_count[keeper[f]]:
+                keeper[f] = a
+        free = [f for f in range(base.plan.M) if f not in keeper]
+        # exact for every group: a member's count changes only when it moves
+        for f, _, a in sorted((f, op_count[a], a) for a, f in enumerate(col) if keeper[f] != a):
+            row = usage[a]
+            f_new = min(free, key=row.__getitem__)  # the first least-used spot
+            col[a] = f_new
+            free.remove(f_new)
+            row[f] -= 1
+            row[f_new] += 1
+            op_count[a] += 1
+        matrix[:, i] = col
 
+    balanced = SequenceSet(matrix, base.plan, BALANCED)  # checks every column
     ledger = OperationLedger(op_count=np.array(op_count, dtype=np.int64),
                              usage=np.array(usage, dtype=np.int64))
-    return SequenceSet(matrix, base.plan, BALANCED), ledger
+    if not np.array_equal((matrix != base.as_matrix()).sum(axis=1), ledger.op_count):
+        raise HopsetError("balancer broke an identity: changed entries per member != op_count")
+    if not np.array_equal(frequency_histogram(balanced), ledger.usage):
+        raise HopsetError("balancer broke an identity: usage != balanced spot counts")
+    return balanced, ledger
 
 
 def fit_linear(xs, ys):
@@ -129,20 +128,21 @@ def fit_linear(xs, ys):
 def mean_operation_curve(mseq: MSequence, plan: FrequencyPlan, tau=None) -> FairnessReport:
     """Balance families of every size q = 1..M and fit the mean-operation trend.
 
-    For each q the base set is rebuilt with the same rotation step tau
-    (default: the rule for the full-size family) and balanced; the mean
-    operation count per member is recorded. The curve is normalized by its
-    maximum entry and fitted with a least-squares line over q.
+    One base set of M members is built with rotation step tau (default: the
+    rule for the full-size family); its first q rows are the base set of q
+    members, so each q balances a prefix and records the mean operation count
+    per member. The curve is normalized by its maximum entry and fitted with a
+    least-squares line over q.
     """
     M = plan.M
     if tau is None:
         tau = default_shift(mseq.n, M)
+    full = build_base_set(mseq, FamilyConfig(q=M, tau=tau), plan).as_matrix()
     per_sequence = []
     means = []
     q_values = np.arange(1, M + 1)
     for q in q_values:
-        base = build_base_set(mseq, FamilyConfig(q=int(q), tau=tau), plan)
-        _, ledger = cfb_balance(base)
+        _, ledger = cfb_balance(SequenceSet(full[:q], plan, BASE))
         per_sequence.append(ledger.op_count)
         means.append(float(ledger.op_count.mean()))
     mean_ops = np.array(means)

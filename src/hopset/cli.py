@@ -77,6 +77,8 @@ def _resolve_config(args, family=True) -> RunConfig:
         raise ConfigError(f"l={l} must be at least 1 with p^l={plan.p}^{l} "
                           f"at most the limit {SIZE_LIMIT}")
     n = plan.p**l - 1
+    if n < 3 or plan.b >= n:  # no prime shift below n, or no whole word of b symbols
+        raise ConfigError(f"period n={n} must be at least 3 and above the word width b={plan.b}")
 
     # the largest set: q members, or M for the fairness sweep
     entries = (q if family else plan.M) * (n // plan.b)

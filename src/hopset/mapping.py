@@ -61,15 +61,20 @@ class FamilyConfig:
 class SequenceSet:
     """An ordered family of q hop sequences sharing one plan and length L.
 
-    The hops live in one read-only q x L int64 array, a private copy of the
-    matrix the set was built from; row a is member a. Every spot lies in
-    [0, M), and every column of a balanced set holds distinct spots.
+    The hops live in one read-only q x L int64 array; row a is member a. An
+    int64 C-order array that owns its data is handed over: the set adopts it
+    and makes it read-only. Anything else (a list, another dtype, a view) is
+    copied. Every spot lies in [0, M), and every column of a balanced set
+    holds distinct spots.
     """
 
     def __init__(self, matrix, plan: FrequencyPlan, kind):
         if kind not in (BASE, BALANCED):
             raise HopsetError(f"unknown set kind {kind!r}")
-        hops = np.array(matrix, dtype=np.int64, order="C")
+        hops = matrix
+        if not (type(hops) is np.ndarray and hops.dtype == np.int64
+                and hops.flags.c_contiguous and hops.base is None):
+            hops = np.array(matrix, dtype=np.int64, order="C")
         if hops.ndim != 2:
             raise HopsetError(f"a sequence set is a q x L matrix, got {hops.ndim} dimensions")
         if not hops.size:

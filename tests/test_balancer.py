@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from hopset import balancer
 from hopset.balancer import cfb_balance, fit_linear, mean_operation_curve
 from hopset.correlation import frequency_histogram
 from hopset.errors import FamilySizeError, HopsetError, SingularFitError
@@ -12,6 +13,7 @@ from hopset.mapping import (
     FrequencyPlan,
     SequenceSet,
     build_base_set,
+    default_shift,
 )
 
 from conftest import base_families, make_mseq
@@ -89,6 +91,65 @@ def test_balancing_properties_over_gf_p(family):
     assert changed.sum() == ledger.op_count.sum()
     assert np.array_equal(changed.sum(axis=1), ledger.op_count)
     assert np.array_equal(ledger.usage, frequency_histogram(balanced))
+
+
+def reference_balance(base):
+    """The tie-break rules of the balancer's docstring, one pass per rule, group by group."""
+    matrix = np.array(base.as_matrix())
+    usage = frequency_histogram(base).tolist()
+    op_count = [0] * base.q
+    for i in range(matrix.shape[1]):
+        col = matrix[:, i].tolist()
+        holders = {}
+        for a, f in enumerate(col):
+            holders.setdefault(f, []).append(a)
+        available = [f for f in range(base.plan.M) if f not in holders]
+        collided = sorted(f for f, mem in holders.items() if len(mem) > 1)
+        for f in collided:
+            members = holders[f]
+            top = max(op_count[a] for a in members)
+            keeper = min(a for a in members if op_count[a] == top)
+            movers = sorted((a for a in members if a != keeper),
+                            key=lambda a: (op_count[a], a))
+            for a in movers:
+                row_usage = usage[a]
+                f_new = min(available, key=row_usage.__getitem__)
+                available.remove(f_new)
+                matrix[a, i] = f_new
+                row_usage[f] -= 1
+                row_usage[f_new] += 1
+                op_count[a] += 1
+    return matrix, np.array(op_count), np.array(usage)
+
+
+def assert_matches_reference(base):
+    balanced, ledger = cfb_balance(base)
+    matrix, op_count, usage = reference_balance(base)
+    assert np.array_equal(balanced.as_matrix(), matrix)
+    assert np.array_equal(ledger.op_count, op_count)
+    assert np.array_equal(ledger.usage, usage)
+
+
+@settings(derandomize=True, deadline=None)
+@given(base_families())
+def test_tie_breaks_match_the_reference_over_gf_p(family):
+    assert_matches_reference(build_base_set(*family))
+
+
+@pytest.mark.parametrize("l,M,q", [(10, 16, 16), (12, 64, 40)])
+def test_tie_breaks_match_the_reference(l, M, q):
+    ms = make_mseq(l)
+    plan = FrequencyPlan(p=2, b=M.bit_length() - 1)
+    assert_matches_reference(build_base_set(ms, FamilyConfig(q=q, tau=default_shift(ms.n, q)), plan))
+
+
+def test_broken_usage_identity_is_a_math_error(ms6, plan_b2, monkeypatch):
+    # usage counts that start one off no longer equal the balanced set's spot counts
+    monkeypatch.setattr(balancer, "frequency_histogram",
+                        lambda sset: frequency_histogram(sset) + (sset.kind == BASE))
+    base = build_base_set(ms6, FamilyConfig(q=4, tau=7), plan_b2)
+    with pytest.raises(HopsetError, match="usage"):
+        cfb_balance(base)
 
 
 def test_usage_tracks_balanced_histograms(ms6, plan_b3):
@@ -175,6 +236,13 @@ def test_mean_operation_curve_small(ms6, plan_b2):
     assert report.normalized.max() == 1.0
     assert ((report.normalized >= 0) & (report.normalized <= 1)).all()
     assert report.slope > 0
+
+
+def test_mean_operation_curve_balances_prefixes_of_one_base_set(ms6, plan_b2):
+    report = mean_operation_curve(ms6, plan_b2, tau=7)
+    for q, ops in zip(report.q_values, report.per_sequence_ops):
+        _, ledger = cfb_balance(build_base_set(ms6, FamilyConfig(q=int(q), tau=7), plan_b2))
+        assert np.array_equal(ops, ledger.op_count)
 
 
 def test_mean_operation_curve_default_tau(ms6, plan_b2):

@@ -127,6 +127,11 @@ def test_non_primitive_polynomial_is_domain_error(tmp_path, capsys):
     ["simulate"],
     ["generate", "--config", "run.json"],
     ["fairness", "--format", "csv"],
+    # periods with no hop: b=4 is not below n=3, and n=1 has no prime shift
+    ["generate", "--l", "2", "--M", "16", "--q", "1", "--poly", "1,1,1"],
+    ["generate", "--l", "1", "--M", "2", "--q", "1", "--poly", "1,1"],
+    ["fairness", "--l", "2", "--M", "16", "--poly", "1,1,1"],
+    ["fairness", "--l", "1", "--M", "2", "--poly", "1,1"],
 ])
 def test_usage_error_is_one_json_line(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -182,15 +182,23 @@ def test_set_kind_and_shape_validation(plan_b2):
             SequenceSet(not_a_matrix, plan_b2, BASE)
 
 
-def test_set_holds_a_read_only_private_copy(plan_b2):
-    matrix = np.array([[0, 1, 2], [3, 2, 1]])
-    sset = SequenceSet(matrix, plan_b2, BASE)
-    matrix[0, 0] = 3
-    assert sset.as_matrix().tolist() == [[0, 1, 2], [3, 2, 1]]
-    assert sset.as_matrix() is sset.as_matrix()
+def test_set_adopts_an_owned_array_and_copies_the_rest(plan_b2):
+    owned = np.array([[0, 1, 2], [3, 2, 1]], dtype=np.int64)
+    sset = SequenceSet(owned, plan_b2, BASE)
+    assert sset.as_matrix() is owned and not owned.flags.writeable
     assert (sset.q, sset.length) == (2, 3)
     with pytest.raises(ValueError):
         sset.as_matrix()[0, 0] = 1
+    # a list, another dtype, a view and a Fortran-order array are copied
+    writable = np.array([[0, 1, 2, 3], [3, 2, 1, 0]], dtype=np.int64)
+    for matrix in ([[0, 1], [3, 2]], writable.astype(np.int32), writable[:, :2],
+                   np.asfortranarray(writable)):
+        sset = SequenceSet(matrix, plan_b2, BASE)
+        hops = sset.as_matrix()
+        assert hops.dtype == np.int64 and hops.flags.c_contiguous and hops.base is None
+        assert not hops.flags.writeable
+    writable[0, 0] = 3  # still writable, and the last set's copy does not see it
+    assert sset.as_matrix()[0, 0] == 0
 
 
 def test_balanced_kind_requires_distinct_columns(plan_b2):
