@@ -2,16 +2,17 @@
 
 Polynomials over GF(p) are given as coefficient tuples ``(c_0, c_1, ..., c_l)``
 in ascending degree order, so ``x^3 + x + 1`` over GF(2) is ``(1, 1, 0, 1)``.
-The generator runs the Fibonacci-form recurrence
+The generator follows the Fibonacci-form recurrence
 
     s(t) = -(c_0*s(t-l) + c_1*s(t-l+1) + ... + c_{l-1}*s(t-1)) / c_l  (mod p)
 
-and emits the seed symbols first, so a valid configuration produces one full
-period p^l - 1 of a maximal-length sequence.
+from the seed symbols, which it emits first, so a valid configuration
+produces one full period p^l - 1 of a maximal-length sequence. One routine,
+`_x_power`, computes x^e mod f: the primitivity test raises x to the group
+order and its cofactors, and the generator uses x^t mod f to write the
+recurrence a block at a time.
 """
 
-import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,41 +53,6 @@ def _check_poly_shape(p, taps):
     return taps
 
 
-def _poly_mulmod(a, b, modulus, p):
-    """Multiply polynomials a*b over GF(p) and reduce modulo `modulus`."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _poly_mod(prod, modulus, p)
-
-
-def _poly_mod(a, modulus, p):
-    """Reduce polynomial a modulo `modulus` over GF(p).
-
-    Always returns exactly deg(modulus) coefficients, zero-padded, so
-    reduced polynomials compare canonically as lists.
-    """
-    deg = len(modulus) - 1
-    inv_lead = pow(modulus[-1], -1, p)
-    a = list(a)
-    for i in range(len(a) - 1, deg - 1, -1):
-        if a[i]:
-            factor = (a[i] * inv_lead) % p
-            for j, cj in enumerate(modulus):
-                a[i - deg + j] = (a[i - deg + j] - factor * cj) % p
-    del a[deg:]
-    return a + [0] * (deg - len(a))
-
-
-def is_prime(k):
-    """Trial division; callers bound k (at most 2^24 from outside) before asking."""
-    if k < 2:
-        return False
-    return all(k % d for d in range(2, math.isqrt(k) + 1))
-
-
 def prime_factors(k):
     """The distinct prime factors of k, ascending, by trial division; none for k < 2."""
     factors = []
@@ -100,7 +66,41 @@ def prime_factors(k):
     return factors + [k] if k > 1 else factors
 
 
-@functools.lru_cache(maxsize=None)
+def is_prime(k):
+    """True iff k is prime; callers bound k (at most 2^24 from outside) before asking."""
+    return prime_factors(k) == [k]
+
+
+def _x_power(p, taps, e):
+    """The l coefficients of x^e mod f over GF(p), lowest first, by square and multiply.
+
+    The one reduction rule is x^l = sum_i fold_i * x^i with fold_i = -c_i / c_l.
+    """
+    l = len(taps) - 1
+    inv_lead = pow(taps[-1], -1, p)
+    fold = [(-c * inv_lead) % p for c in taps[:-1]]
+
+    def mulmod(a, b):
+        prod = [0] * (2 * l - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        for k in range(2 * l - 2, l - 1, -1):
+            if high := prod[k] % p:
+                for i, fi in enumerate(fold, start=k - l):
+                    prod[i] += high * fi
+        return [c % p for c in prod[:l]]
+
+    x = fold if l == 1 else [0, 1] + [0] * (l - 2)
+    result = [1] + [0] * (l - 1)
+    for bit in bin(e)[2:]:
+        result = mulmod(result, result)
+        if bit == "1":
+            result = mulmod(result, x)
+    return result
+
+
 def _x_order_is_maximal(p, taps):
     """True iff x has multiplicative order p^l - 1 in GF(p)[x]/(taps).
 
@@ -108,24 +108,10 @@ def _x_order_is_maximal(p, taps):
     checked by confirming x^(p^l - 1) = 1 while x^((p^l - 1)/r) != 1 for
     every prime factor r of p^l - 1.
     """
-    l = len(taps) - 1
-    n = p**l - 1
-
-    def x_pow(e):
-        result = _poly_mod([0, 1], taps, p)
-        if e == 0:
-            return _poly_mod([1], taps, p)
-        bits = bin(e)[3:]  # skip the leading 1; start from x itself
-        for bit in bits:
-            result = _poly_mulmod(result, result, taps, p)
-            if bit == "1":
-                result = _poly_mulmod(result, [0, 1], taps, p)
-        return result
-
-    one = [1] + [0] * (l - 1)
-    if x_pow(n) != one:
-        return False
-    return all(x_pow(n // r) != one for r in prime_factors(n))
+    n = p ** (len(taps) - 1) - 1
+    one = _x_power(p, taps, 0)
+    return _x_power(p, taps, n) == one and all(
+        _x_power(p, taps, n // r) != one for r in prime_factors(n))
 
 
 def validate_primitive_polynomial(p, taps):
@@ -148,17 +134,15 @@ def default_polynomial(p, l):
 
     Only p=2 with 3 <= l <= 18 is tabulated; other moduli or degrees must be
     supplied by the caller. Raises UnsupportedDegreeError for entries outside
-    the table.
+    the table. Entries are returned as tabulated: `LfsrConfig` checks every
+    polynomial it is given, so a run checks its polynomial once.
     """
     if p != 2 or l not in _GF2_PRIMITIVE_EXPONENTS:
         raise UnsupportedDegreeError(
             f"no built-in primitive polynomial for p={p}, l={l}; supply taps explicitly"
         )
     exps = _GF2_PRIMITIVE_EXPONENTS[l]
-    taps = tuple(1 if i in exps else 0 for i in range(l + 1))
-    if not validate_primitive_polynomial(p, taps):
-        raise InvalidPolynomialError(f"built-in table entry for (p={p}, l={l}) failed validation")
-    return taps
+    return tuple(1 if i in exps else 0 for i in range(l + 1))
 
 
 @dataclass(frozen=True)
@@ -214,18 +198,25 @@ def generate_m_sequence(cfg: LfsrConfig) -> MSequence:
     """Run the LFSR for one full period and return the emitted symbols.
 
     The output has length n = p^l - 1, starts with the seed symbols, and is
-    identical on every call with the same configuration.
+    identical on every call with the same configuration. The recurrence jumps
+    ahead in blocks: with r = x^t mod f, s(t + j) = sum_i r_i * s(j + i), and
+    for j < t - l + 1 every symbol on the right is already known, so each block
+    is l multiply-adds over earlier symbols and about log2(n) blocks fill the
+    period.
     """
     p = cfg.p
     l = cfg.l
-    inv_lead = pow(cfg.taps[-1], -1, p)
-    terms = [(i - l, c) for i, c in enumerate(cfg.taps[:-1]) if c]
-    out = list(cfg.seed)
-    for t in range(l, cfg.period):
-        acc = 0
-        for off, c in terms:
-            acc += c * out[t + off]
-        out.append((-acc * inv_lead) % p)
-    symbols = np.array(out, dtype=np.int64)
+    n = cfg.period
+    symbols = np.zeros(n, dtype=np.int64)
+    symbols[:l] = cfg.seed
+    t = l
+    while t < n:
+        k = min(t - l + 1, n - t)
+        block = symbols[t:t + k]  # zero until summed; exact while l*(p-1)^2 < 2^63
+        for i, ri in enumerate(_x_power(p, cfg.taps, t)):
+            if ri:
+                block += symbols[i:i + k] if ri == 1 else ri * symbols[i:i + k]
+        block %= p
+        t += k
     symbols.setflags(write=False)
     return MSequence(symbols=symbols, origin=cfg)

@@ -62,7 +62,8 @@ def _atomic_write_text(path, text):
 
 def write_sequence_set(path, sset: SequenceSet):
     lines = [f"# M={sset.plan.M} n={sset.length} q={sset.q} kind={sset.kind}"]
-    lines += [",".join(map(str, row.tolist())) for row in sset.as_matrix()]
+    template = ",".join(["%d"] * sset.length)
+    lines += [template % tuple(row.tolist()) for row in sset.as_matrix()]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 The family-size fairness sweep (criterion 4) covers nine (l, M)
 configurations up to l=18 and dominates the runtime (a few minutes).
+Criterion 10 repeats the sweep's 1/M law over GF(3) and GF(5).
 """
 
 import time
@@ -15,7 +16,12 @@ from hopset.balancer import cfb_balance, mean_operation_curve
 from hopset.cli import main as cli_main
 from hopset.correlation import analyze_set, correlation_profile, hamming_correlation
 from hopset.errors import FamilySizeError
-from hopset.lfsr import LfsrConfig, default_polynomial, generate_m_sequence
+from hopset.lfsr import (
+    LfsrConfig,
+    default_polynomial,
+    generate_m_sequence,
+    validate_primitive_polynomial,
+)
 from hopset.mapping import (
     FamilyConfig,
     FrequencyPlan,
@@ -39,9 +45,28 @@ def naive_hamming(u, v, d):
     return sum(1 for i in range(n) if u[i] == v[(i + d) % n])
 
 
-def make_mseq(l):
-    taps = default_polynomial(2, l)
-    return generate_m_sequence(LfsrConfig(p=2, taps=taps, seed=(1,) + (0,) * (l - 1)))
+def make_mseq(l, p=2, taps=None):
+    if taps is None:
+        taps = default_polynomial(p, l)
+    return generate_m_sequence(LfsrConfig(p=p, taps=taps, seed=(1,) + (0,) * (l - 1)))
+
+
+def columns_distinct(sset):
+    """True iff no column repeats a spot, i.e. every pair has G_uv(0) = 0."""
+    cols = np.sort(sset.as_matrix(), axis=0)
+    return not (cols[1:] == cols[:-1]).any()
+
+
+def histogram_check(base, balanced):
+    """(every balanced histogram within 10% of n'/M, no member's spread grew
+    by more than 1, worst relative deviation from n'/M)."""
+    M = balanced.plan.M
+    target = balanced.length / M
+    hist_before = np.array([np.bincount(r, minlength=M) for r in base.as_matrix()])
+    hist_after = np.array([np.bincount(r, minlength=M) for r in balanced.as_matrix()])
+    deviation = np.abs(hist_after - target) / target
+    spreads_kept = (np.ptp(hist_after, axis=1) <= np.ptp(hist_before, axis=1) + 1).all()
+    return bool((deviation <= 0.1).all()), bool(spreads_kept), float(deviation.max())
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +108,7 @@ def test_criterion_2_orthogonality_all_family_sizes(family16):
     ok = True
     for q, (_, balanced, _) in families.items():
         matrix = balanced.as_matrix()
-        cols = np.sort(matrix, axis=0)
-        if (cols[1:] == cols[:-1]).any():
+        if not columns_distinct(balanced):
             ok = False
         for u in range(q):
             for v in range(u + 1, q):
@@ -98,21 +122,11 @@ def test_criterion_2_orthogonality_all_family_sizes(family16):
 
 def test_criterion_3_balance(family16):
     families, _ = family16
-    target = 4095 / 16
-    lo, hi = 0.9 * target, 1.1 * target
     ok = True
     worst = (0.0, 0)
     for q, (base, balanced, _) in families.items():
-        hist_before = np.array([np.bincount(r, minlength=16) for r in base.as_matrix()])
-        hist_after = np.array([np.bincount(r, minlength=16) for r in balanced.as_matrix()])
-        if not ((hist_after >= lo) & (hist_after <= hi)).all():
-            ok = False
-        for a in range(q):
-            spread_before = int(hist_before[a].max() - hist_before[a].min())
-            spread_after = int(hist_after[a].max() - hist_after[a].min())
-            if spread_after > spread_before + 1:
-                ok = False
-        deviation = np.abs(hist_after - target).max() / target
+        within, spreads_kept, deviation = histogram_check(base, balanced)
+        ok = ok and within and spreads_kept
         worst = max(worst, (deviation, q))
     report(3, "balanced histograms within 10% of n'/M", ok,
            f"worst deviation {worst[0] * 100:.1f}% at q={worst[1]}, spreads never degrade")
@@ -232,3 +246,36 @@ def test_criterion_9_bruteforce_oracle_equivalence():
                         ok = False
     report(9, "profiles match brute force, double-counting identity", ok,
            "l in {4,5,6}, base and balanced sets")
+
+
+# the first primitive taps in lexicographic (c_0, ..., c_{l-1}) order of monic
+# polynomials: GF(3) at l=9, GF(5) at l=6
+FIRST_PRIMITIVE = {3: (1, 0, 0, 0, 0, 0, 2, 1, 0, 1), 5: (2, 0, 0, 0, 0, 1, 1)}
+
+
+def test_criterion_10_fairness_law_beyond_gf2():
+    ok = all(validate_primitive_polynomial(p, taps) for p, taps in FIRST_PRIMITIVE.items())
+    sequences = {p: make_mseq(len(taps) - 1, p=p, taps=taps) for p, taps in FIRST_PRIMITIVE.items()}
+    products = []
+    for p, b in ((3, 2), (3, 3), (5, 2)):
+        plan = FrequencyPlan(p=p, b=b)
+        start = time.perf_counter()
+        curve = mean_operation_curve(sequences[p], plan)
+        elapsed = time.perf_counter() - start
+        product = curve.slope * plan.M
+        within = 0.85 <= product <= 1.25
+        ok = ok and within
+        products.append(f"{product:.3f}")
+        print(f"    p={p} l={len(FIRST_PRIMITIVE[p]) - 1} M={plan.M}: h1={curve.slope:.5f} "
+              f"h1*M={product:.3f} h2={curve.intercept:+.4f} "
+              f"[{elapsed:.1f}s]{'' if within else '  <-- out of tolerance'}")
+    # criteria 2 and 3 at p=3, l=9, M=q=27, default tau
+    ms = sequences[3]
+    fam = FamilyConfig(q=27, tau=default_shift(ms.n, 27))
+    base = build_base_set(ms, fam, FrequencyPlan(p=3, b=3))
+    balanced, _ = cfb_balance(base)
+    within, spreads_kept, deviation = histogram_check(base, balanced)
+    ok = ok and columns_distinct(balanced) and within and spreads_kept
+    report(10, "1/M fairness law over GF(3) and GF(5)", ok,
+           f"h1*M {', '.join(products)} in [0.85,1.25]; at p=3 M=q=27 columns distinct, "
+           f"worst histogram deviation {deviation * 100:.1f}%, spreads never degrade")

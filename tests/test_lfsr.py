@@ -2,18 +2,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopset.errors import DegenerateSeedError, InvalidPolynomialError, UnsupportedDegreeError
 from hopset.lfsr import (
     _GF2_PRIMITIVE_EXPONENTS,
     LfsrConfig,
+    _x_power,
     default_polynomial,
+    generate_m_sequence,
     is_prime,
     prime_factors,
     validate_primitive_polynomial,
 )
 
-from conftest import make_mseq
+from conftest import PRIMITIVE, make_mseq
 
 
 # --- independent oracles -------------------------------------------------
@@ -33,25 +36,41 @@ def walk_cycle_length(p, taps):
     return None
 
 
-def order_of_x(p, taps):
-    """Smallest k with x^k = 1 mod taps, by repeated multiplication; None if
-    x never returns to 1 within p^l steps (x not invertible)."""
+def x_powers_by_stepping(p, taps, count):
+    """x^0, x^1, ..., x^(count-1) mod taps, each from the last by one multiplication by x."""
     l = len(taps) - 1
     inv = pow(taps[-1], -1, p)
     fold = [(-c * inv) % p for c in taps[:-1]]
-    one = [1] + [0] * (l - 1)
-    if l == 1:
-        cur = [fold[0]]
-    else:
-        cur = [0, 1] + [0] * (l - 2)
-    for k in range(1, p**l + 1):
-        if cur == one:
-            return k
+    cur = [1] + [0] * (l - 1)
+    for _ in range(count):
+        yield cur
         high = cur[l - 1]
         cur = [0] + cur[:-1]
         if high:
             cur = [(a + high * f) % p for a, f in zip(cur, fold)]
-    return None
+
+
+def order_of_x(p, taps):
+    """Smallest k >= 1 with x^k = 1 mod taps, by repeated multiplication; None if
+    x never returns to 1 within p^l steps (x not invertible)."""
+    one = [1] + [0] * (len(taps) - 2)
+    powers = enumerate(x_powers_by_stepping(p, taps, p ** (len(taps) - 1) + 1))
+    return next((k for k, cur in powers if k and cur == one), None)
+
+
+def reference_m_sequence(cfg):
+    """The recurrence one symbol at a time: the oracle for the block generator."""
+    p = cfg.p
+    l = cfg.l
+    inv_lead = pow(cfg.taps[-1], -1, p)
+    terms = [(i - l, c) for i, c in enumerate(cfg.taps[:-1]) if c]
+    out = list(cfg.seed)
+    for t in range(l, cfg.period):
+        acc = 0
+        for off, c in terms:
+            acc += c * out[t + off]
+        out.append((-acc * inv_lead) % p)
+    return out
 
 
 def sieve(limit):
@@ -111,12 +130,15 @@ def test_nonprime_modulus_raises():
 
 def test_validator_agrees_with_x_order_bruteforce():
     # every polynomial with nonzero lead of degree 1-4 over GF(2) and GF(3)
-    # and of degree 1-3 over GF(5), against both brute-force oracles
+    # and of degree 1-3 over GF(5), against both brute-force oracles; the
+    # square-and-multiply x-power against stepping for every e < 2 p^l
     for p, degrees in ((2, range(1, 5)), (3, range(1, 5)), (5, range(1, 4))):
         for l in degrees:
             for mid in itertools.product(range(p), repeat=l):
                 for lead in range(1, p):
                     taps = mid + (lead,)
+                    stepped = list(x_powers_by_stepping(p, taps, 2 * p**l))
+                    assert [_x_power(p, taps, e) for e in range(2 * p**l)] == stepped, taps
                     expected = order_of_x(p, taps) == p**l - 1
                     assert (walk_cycle_length(p, taps) == p**l - 1) is expected, taps
                     assert validate_primitive_polynomial(p, taps) is expected, taps
@@ -169,6 +191,24 @@ def test_default_polynomial_unknown_entries(p, l):
 def test_hand_iterated_period7_sequence(ms3):
     assert ms3.symbols.tolist() == [1, 0, 0, 1, 0, 1, 1]
     assert ms3.n == 7
+
+
+@pytest.mark.parametrize("p,taps", [(2, default_polynomial(2, l)) for l in range(3, 19)]
+                         + [(5, (3, 1))])
+def test_generator_matches_reference(p, taps):
+    # the table entries, and l=1, where x mod f is the constant -c_0/c_1
+    cfg = LfsrConfig(p=p, taps=taps, seed=(1,) + (0,) * (len(taps) - 2))
+    assert generate_m_sequence(cfg).symbols.tolist() == reference_m_sequence(cfg)
+
+
+@pytest.mark.parametrize("p,taps", PRIMITIVE)
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(data=st.data())
+def test_generator_matches_reference_over_seeds(p, taps, data):
+    l = len(taps) - 1
+    seed = data.draw(st.lists(st.integers(0, p - 1), min_size=l, max_size=l).filter(any))
+    cfg = LfsrConfig(p=p, taps=taps, seed=tuple(seed))
+    assert generate_m_sequence(cfg).symbols.tolist() == reference_m_sequence(cfg)
 
 
 def test_generation_is_deterministic():
