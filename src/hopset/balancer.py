@@ -4,8 +4,9 @@ The balancer walks the set column by column (hop by hop). Wherever two or
 more members occupy the same frequency spot in a column, one member keeps
 the spot and each other colliding member is moved to a spot that no member
 currently holds in that column. Spot choice steers every member's usage
-histogram toward uniform. The resulting set is collision free at zero
-delay: every column holds q pairwise distinct spots.
+histogram toward uniform. The result is collision free at zero delay: every
+column holds q distinct spots. Whatever the tie-breaks, a column with D(i)
+distinct base spots costs q - D(i) moves, which is why the fairness sweep counts.
 
 Deterministic tie-break rules, applied in this order:
   * columns are processed left to right, collision groups within a column
@@ -56,7 +57,6 @@ class FairnessReport:
     """Mean operation counts over a family-size sweep, with a linear fit."""
 
     q_values: np.ndarray
-    per_sequence_ops: tuple
     mean_ops: np.ndarray
     normalized: np.ndarray
     slope: float
@@ -103,6 +103,9 @@ def cfb_balance(base: SequenceSet):
         raise HopsetError("balancer broke an identity: changed entries per member != op_count")
     if not np.array_equal(frequency_histogram(balanced), ledger.usage):
         raise HopsetError("balancer broke an identity: usage != balanced spot counts")
+    cols = np.sort(base.as_matrix(), axis=0)
+    if ledger.op_count.sum() != (cols[1:] == cols[:-1]).sum():
+        raise HopsetError("balancer broke an identity: total op_count != repeated base spots")
     return balanced, ledger
 
 
@@ -126,32 +129,32 @@ def fit_linear(xs, ys):
 
 
 def mean_operation_curve(mseq: MSequence, plan: FrequencyPlan, tau=None) -> FairnessReport:
-    """Balance families of every size q = 1..M and fit the mean-operation trend.
+    """Count the mean operations of families of every size q = 1..M and fit the trend.
 
     One base set of M members is built with rotation step tau (default: the
     rule for the full-size family); its first q rows are the base set of q
-    members, so each q balances a prefix and records the mean operation count
-    per member. The curve is normalized by its maximum entry and fitted with a
-    least-squares line over q.
+    members. Balancing those costs q - D_q(i) moves in column i, so the sweep
+    counts and does not balance: row a adds one operation per column whose
+    spot an earlier row holds. The curve is normalized by its maximum entry
+    and fitted with a least-squares line over q.
     """
     M = plan.M
     if tau is None:
         tau = default_shift(mseq.n, M)
     full = build_base_set(mseq, FamilyConfig(q=M, tau=tau), plan).as_matrix()
-    per_sequence = []
-    means = []
+    cols = np.arange(full.shape[1])
+    held = np.zeros((M, full.shape[1]), dtype=bool)  # spot x column
+    repeats = np.zeros(M, dtype=np.int64)
+    for a, row in enumerate(full):
+        repeats[a] = held[row, cols].sum()
+        held[row, cols] = True
     q_values = np.arange(1, M + 1)
-    for q in q_values:
-        _, ledger = cfb_balance(SequenceSet(full[:q], plan, BASE))
-        per_sequence.append(ledger.op_count)
-        means.append(float(ledger.op_count.mean()))
-    mean_ops = np.array(means)
+    mean_ops = np.cumsum(repeats) / q_values
     peak = mean_ops.max()
     normalized = mean_ops / peak if peak > 0 else np.zeros_like(mean_ops)
     slope, intercept = fit_linear(q_values, normalized)
     return FairnessReport(
         q_values=q_values,
-        per_sequence_ops=tuple(per_sequence),
         mean_ops=mean_ops,
         normalized=normalized,
         slope=slope,

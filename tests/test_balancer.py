@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hopset import balancer
 from hopset.balancer import cfb_balance, fit_linear, mean_operation_curve
 from hopset.correlation import frequency_histogram
 from hopset.errors import FamilySizeError, HopsetError, SingularFitError
+from hopset.lfsr import default_polynomial
 from hopset.mapping import (
     BALANCED,
     BASE,
@@ -152,6 +155,16 @@ def test_broken_usage_identity_is_a_math_error(ms6, plan_b2, monkeypatch):
         cfb_balance(base)
 
 
+def test_broken_total_identity_is_a_math_error(ms6, plan_b2, monkeypatch):
+    # a sort of the base columns that sees member 0 twice counts L more
+    # repeated spots than the balancer moved
+    sort = lambda m, axis: np.sort(np.vstack([m, m[:1]]), axis=axis)
+    monkeypatch.setattr(balancer, "np", SimpleNamespace(**{**vars(np), "sort": sort}))
+    base = build_base_set(ms6, FamilyConfig(q=4, tau=7), plan_b2)
+    with pytest.raises(HopsetError, match="total op_count"):
+        cfb_balance(base)
+
+
 def test_usage_tracks_balanced_histograms(ms6, plan_b3):
     base = build_base_set(ms6, FamilyConfig(q=6, tau=3), plan_b3)
     balanced, ledger = cfb_balance(base)
@@ -231,18 +244,21 @@ def test_mean_operation_curve_small(ms6, plan_b2):
     report = mean_operation_curve(ms6, plan_b2, tau=7)
     assert report.q_values.tolist() == [1, 2, 3, 4]
     assert report.mean_ops[0] == 0.0
-    for ops, mean in zip(report.per_sequence_ops, report.mean_ops):
-        assert mean == pytest.approx(ops.mean())
     assert report.normalized.max() == 1.0
     assert ((report.normalized >= 0) & (report.normalized <= 1)).all()
     assert report.slope > 0
 
 
-def test_mean_operation_curve_balances_prefixes_of_one_base_set(ms6, plan_b2):
-    report = mean_operation_curve(ms6, plan_b2, tau=7)
-    for q, ops in zip(report.q_values, report.per_sequence_ops):
-        _, ledger = cfb_balance(build_base_set(ms6, FamilyConfig(q=int(q), tau=7), plan_b2))
-        assert np.array_equal(ops, ledger.op_count)
+def test_mean_operation_curve_balances_prefixes_of_one_base_set():
+    # the balancer is the oracle: over GF(2), GF(3) and GF(5), every prefix's
+    # balanced operations over q equal the counted mean to the last bit
+    for p, taps, b in ((2, default_polynomial(2, 6), 2), (3, (1, 2, 0, 1), 2), (5, (2, 3, 0, 1), 2)):
+        ms = make_mseq(len(taps) - 1, p=p, taps=taps)
+        plan = FrequencyPlan(p=p, b=b)
+        report = mean_operation_curve(ms, plan, tau=7)
+        for q in report.q_values.tolist():
+            _, ledger = cfb_balance(build_base_set(ms, FamilyConfig(q=q, tau=7), plan))
+            assert report.mean_ops[q - 1] == ledger.op_count.sum() / q
 
 
 def test_mean_operation_curve_default_tau(ms6, plan_b2):
