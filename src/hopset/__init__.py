@@ -31,7 +31,6 @@ from .lfsr import LfsrConfig, MSequence, default_polynomial, generate_m_sequence
 from .mapping import (
     BALANCED,
     BASE,
-    FamilyConfig,
     FrequencyPlan,
     SequenceSet,
     build_base_set,

@@ -29,12 +29,10 @@ from .lfsr import MSequence
 from .mapping import (
     BALANCED,
     BASE,
-    FamilyConfig,
     FrequencyPlan,
     SequenceSet,
     build_base_set,
     collided_columns,
-    default_shift,
     validate_family,
 )
 
@@ -139,9 +137,7 @@ def mean_operation_curve(mseq: MSequence, plan: FrequencyPlan, tau=None) -> Fair
     and fitted with a least-squares line over q.
     """
     M = plan.M
-    if tau is None:
-        tau = default_shift(mseq.n, M)
-    full = build_base_set(mseq, FamilyConfig(q=M, tau=tau), plan).as_matrix()
+    full = build_base_set(mseq, plan, M, tau).as_matrix()
     cols = np.arange(full.shape[1])
     held = np.zeros((M, full.shape[1]), dtype=bool)  # spot x column
     repeats = np.zeros(M, dtype=np.int64)

@@ -16,40 +16,15 @@ errors included, are emitted as one JSON object per line on stderr.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .balancer import cfb_balance, mean_operation_curve
 from .correlation import analyze_set
 from .errors import ConfigError, HopsetError, SequenceFormatError
 from .lfsr import LfsrConfig, default_polynomial, generate_m_sequence, is_prime
-from .mapping import (
-    SIZE_LIMIT,
-    FamilyConfig,
-    FrequencyPlan,
-    build_base_set,
-    default_shift,
-    plan_from_spot_count,
-    validate_family,
-)
+from .mapping import SIZE_LIMIT, FrequencyPlan, build_base_set, plan_from_spot_count, validate_family
 from . import seqio
 from .sim import simulate
-
-
-@dataclass
-class RunConfig:
-    """Resolved run settings shared by the generate/fairness commands."""
-
-    plan: FrequencyPlan
-    l: int
-    q: int
-    tau: int | None  # None: the default shift rule
-    poly: list | None  # None: the built-in table
-    out: str
-
-    @property
-    def n(self):
-        return self.plan.p**self.l - 1
 
 
 def integer(value):
@@ -58,17 +33,17 @@ def integer(value):
     return number
 
 
-def _resolve_config(args, family=True) -> RunConfig:
-    """Check each flag once, in a fixed order, before any work.
+def _resolve_config(args) -> FrequencyPlan:
+    """Check each flag once, in a fixed order, before any work; return the plan.
 
     M alone names the plan: plan_from_spot_count splits it into the prime p
-    and the word width b; fairness, which sweeps q itself, checks q = 1. M,
-    the period n = p^l - 1 and the set size are refused above SIZE_LIMIT
-    before any of them is factored or allocated.
+    and the word width b. fairness, which has no --q, is checked as its
+    largest family, q = M. M, the period n = p^l - 1 and the set size are
+    refused above SIZE_LIMIT before any of them is factored or allocated.
     """
-    q = args.q if family else 1
     try:
         plan = plan_from_spot_count(args.M)
+        q = getattr(args, "q", plan.M)
         validate_family(q, plan)
     except HopsetError as exc:
         raise ConfigError(str(exc)) from None
@@ -80,8 +55,7 @@ def _resolve_config(args, family=True) -> RunConfig:
     if n < 3 or plan.b >= n:  # no prime shift below n, or no whole word of b symbols
         raise ConfigError(f"period n={n} must be at least 3 and above the word width b={plan.b}")
 
-    # the largest set: q members, or M for the fairness sweep
-    entries = (q if family else plan.M) * (n // plan.b)
+    entries = q * (n // plan.b)
     if entries > SIZE_LIMIT:
         raise ConfigError(f"largest set holds {entries} entries, above the limit {SIZE_LIMIT}")
 
@@ -95,13 +69,13 @@ def _resolve_config(args, family=True) -> RunConfig:
             raise ConfigError(f"polynomial coefficients must lie in [0, {plan.p})")
         if len(poly) != l + 1:
             raise ConfigError(f"polynomial has degree {len(poly) - 1}, expected l={l}")
-    return RunConfig(plan, l, q, tau, poly, args.out)
+    return plan
 
 
-def _build_sequence(cfg: RunConfig):
-    taps = cfg.poly if cfg.poly is not None else default_polynomial(cfg.plan.p, cfg.l)
-    seed = (1,) + (0,) * (cfg.l - 1)
-    return generate_m_sequence(LfsrConfig(p=cfg.plan.p, taps=taps, seed=seed))
+def _build_sequence(args, plan: FrequencyPlan):
+    taps = args.poly if args.poly is not None else default_polynomial(plan.p, args.l)
+    seed = (1,) + (0,) * (args.l - 1)
+    return generate_m_sequence(LfsrConfig(p=plan.p, taps=taps, seed=seed))
 
 
 def _out_dir(path) -> Path:
@@ -111,13 +85,11 @@ def _out_dir(path) -> Path:
 
 
 def cmd_generate(args) -> int:
-    cfg = _resolve_config(args)
-    mseq = _build_sequence(cfg)
-    tau = cfg.tau if cfg.tau is not None else default_shift(mseq.n, cfg.q)
-    base = build_base_set(mseq, FamilyConfig(q=cfg.q, tau=tau), cfg.plan)
+    plan = _resolve_config(args)
+    base = build_base_set(_build_sequence(args, plan), plan, args.q, args.tau)
     balanced, ledger = cfb_balance(base)
 
-    out = _out_dir(cfg.out)
+    out = _out_dir(args.out)
     seqio.write_sequence_set(out / "base.txt", base)
     seqio.write_sequence_set(out / "balanced.txt", balanced)
     seqio.write_ledger_csv(out / "ledger.csv", ledger)
@@ -146,10 +118,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fairness(args) -> int:
-    cfg = _resolve_config(args, family=False)
-    mseq = _build_sequence(cfg)
-    report = mean_operation_curve(mseq, cfg.plan, tau=cfg.tau)
-    out = _out_dir(cfg.out)
+    plan = _resolve_config(args)
+    report = mean_operation_curve(_build_sequence(args, plan), plan, tau=args.tau)
+    out = _out_dir(args.out)
     seqio.write_fairness_csv(out / "fairness.csv", report)
     print(out / "fairness.csv")
     print(f"h1 = {report.slope:.5f}  h2 = {report.intercept:.5f}")

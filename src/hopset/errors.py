@@ -24,11 +24,8 @@ class EmptySequenceError(HopsetError):
 class FamilySizeError(HopsetError):
     """Family size q falls outside 1 <= q <= M."""
 
-    def __init__(self, q, M=None):
-        if M is None:
-            super().__init__(f"family size q={q} must be at least 1")
-        else:
-            super().__init__(f"family size q={q} violates 1 <= q <= M={M}")
+    def __init__(self, q, M):
+        super().__init__(f"family size q={q} violates 1 <= q <= M={M}")
         self.q = q
         self.M = M
 

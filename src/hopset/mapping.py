@@ -44,20 +44,6 @@ class FrequencyPlan:
         return self.p**self.b
 
 
-@dataclass(frozen=True)
-class FamilyConfig:
-    """Family size q and the prime rotation step tau between members."""
-
-    q: int
-    tau: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise FamilySizeError(self.q)
-        if not is_prime(self.tau):
-            raise HopsetError(f"shift tau={self.tau} must be prime")
-
-
 class SequenceSet:
     """An ordered family of q hop sequences sharing one plan and length L.
 
@@ -143,23 +129,28 @@ def default_shift(n, q):
     return tau
 
 
-def build_base_set(mseq: MSequence, fam: FamilyConfig, plan: FrequencyPlan) -> SequenceSet:
-    """Construct the (generally non-orthogonal) base set of q rotated members.
+def build_base_set(mseq: MSequence, plan: FrequencyPlan, q, tau=None) -> SequenceSet:
+    """Construct the (generally non-orthogonal) base set of q members rotated by tau.
 
+    The family is checked here; tau=None takes default_shift(n, q).
     hop_a(j) = sum_i s((a*tau + j*b + i) mod n) * p^i: the word starting at
     symbol k is W(k) = sum_i s((k + i) mod n) * p^i, so member a reads W at
     the starts a*tau + j*b; trailing n mod b symbols of each rotation go unused.
     """
-    validate_family(fam.q, plan)
+    validate_family(q, plan)
     n, b = mseq.n, plan.b
     if plan.p != mseq.p:
         raise HopsetError(f"plan modulus p={plan.p} differs from sequence modulus {mseq.p}")
-    if fam.tau >= n:
-        raise HopsetError(f"shift tau={fam.tau} must be smaller than period n={n}")
+    if tau is None:
+        tau = default_shift(n, q)
+    elif not is_prime(tau):
+        raise HopsetError(f"shift tau={tau} must be prime")
+    if tau >= n:
+        raise HopsetError(f"shift tau={tau} must be smaller than period n={n}")
     if b >= n:
         raise EmptySequenceError(f"tuple width b={b} too large for period n={n}")
     words = np.zeros(n, dtype=np.int64)
     for i in range(b):
         words += np.roll(mseq.symbols, -i) * plan.p**i
-    starts = (np.arange(fam.q)[:, None] * fam.tau + np.arange(n // b) * b) % n
+    starts = (np.arange(q)[:, None] * tau + np.arange(n // b) * b) % n
     return SequenceSet(words[starts], plan, BASE)

@@ -27,7 +27,7 @@ import numpy as np
 from .correlation import AnalysisReport
 from .errors import HopsetError, ScenarioError, SequenceFormatError
 from .mapping import SIZE_LIMIT, SequenceSet, plan_from_spot_count
-from .sim import CollisionReport, SimScenario
+from .sim import CollisionReport, SimScenario, check_horizon
 
 _DIGITS = "[0-9]+"
 _INTEGERS_RE = re.compile(f"{_DIGITS}(?:,{_DIGITS})*")
@@ -67,10 +67,9 @@ def write_sequence_set(path, sset: SequenceSet):
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_sequence_set(path) -> SequenceSet:
-    """Parse a sequence-set file; raises SequenceFormatError naming line/column."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
-    match = _HEADER_RE.fullmatch(lines[0])
+def _parse_header(line):
+    """A sequence file's first line as (plan, n, q, kind); SequenceFormatError on line 1."""
+    match = _HEADER_RE.fullmatch(line)
     if not match:
         raise SequenceFormatError(
             "expected header '# M=<M> n=<n> q=<q> kind=<base|balanced>'", line=1
@@ -82,6 +81,14 @@ def read_sequence_set(path) -> SequenceSet:
         raise SequenceFormatError(str(exc), line=1) from None
     if q * n > SIZE_LIMIT:
         raise SequenceFormatError(f"set size q*n={q * n} exceeds the limit {SIZE_LIMIT}", line=1)
+    return plan, n, q, match[4]
+
+
+def read_sequence_set(path) -> SequenceSet:
+    """Parse a sequence-set file; raises SequenceFormatError naming line/column."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
+    plan, n, q, kind = _parse_header(lines[0])
+    M = plan.M
 
     # blank lines are skipped; each row keeps its file line number for errors
     rows = [(i, line) for i, line in enumerate(lines[1:], start=2) if line.strip()]
@@ -109,7 +116,7 @@ def read_sequence_set(path) -> SequenceSet:
                 raise SequenceFormatError(message, line=line_no, column=column)
             column += len(token) + 1
     try:
-        return SequenceSet(matrix, plan, match[4])
+        return SequenceSet(matrix, plan, kind)
     except HopsetError as exc:
         raise SequenceFormatError(str(exc)) from None
 
@@ -173,7 +180,8 @@ def load_scenario(path) -> SimScenario:
     """Read a scenario JSON: integer hops and the path to a sequence file.
 
     Any other key is an error. A relative sequence path is resolved against
-    the scenario file's directory.
+    the scenario file's directory. The horizon is checked against the
+    sequence file's header before any row is read.
     """
     path = Path(path)
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -184,4 +192,8 @@ def load_scenario(path) -> SimScenario:
     hops, sequences = payload.get("hops"), payload.get("sequences")
     if type(hops) is not int or type(sequences) is not str:
         raise ScenarioError(f"need integer 'hops', string 'sequences': {hops!r}, {sequences!r}")
-    return SimScenario(sset=read_sequence_set(path.parent / sequences), hops=hops)
+    sequences = path.parent / sequences
+    with open(sequences, encoding="utf-8") as fh:
+        first = fh.readline().splitlines() or [""]  # the line read_sequence_set sees first
+    check_horizon(hops, _parse_header(first[0])[2])
+    return SimScenario(sset=read_sequence_set(sequences), hops=hops)

@@ -17,23 +17,24 @@ from .errors import ScenarioError
 from .mapping import SequenceSet
 
 
+def check_horizon(hops, q):
+    """Refuse a horizon below one hop or one whose largest collision total,
+    hops * max(1, q(q-1)/2), overflows int64; a file header's q is enough."""
+    if hops < 1:
+        raise ScenarioError(f"hop count must be >= 1, got {hops}")
+    if int(hops) * max(q * (q - 1) // 2, 1) > np.iinfo(np.int64).max:
+        raise ScenarioError(f"hop count {hops} overflows the int64 collision counts")
+
+
 @dataclass(frozen=True, eq=False)
 class SimScenario:
-    """A deterministic run: a sequence set and a hop horizon.
-
-    The horizon is at least one hop, and hops * max(1, q(q-1)/2), the
-    largest collision total it can give, fits in int64.
-    """
+    """A deterministic run: a sequence set and a horizon that check_horizon admits."""
 
     sset: SequenceSet
     hops: int
 
     def __post_init__(self):
-        if self.hops < 1:
-            raise ScenarioError(f"hop count must be >= 1, got {self.hops}")
-        pairs = self.sset.q * (self.sset.q - 1) // 2
-        if int(self.hops) * max(pairs, 1) > np.iinfo(np.int64).max:
-            raise ScenarioError(f"hop count {self.hops} overflows the int64 collision counts")
+        check_horizon(self.hops, self.sset.q)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hopset.lfsr import LfsrConfig, default_polynomial, generate_m_sequence, is_prime
-from hopset.mapping import FamilyConfig, FrequencyPlan
+from hopset.mapping import FrequencyPlan
 
 
 def make_mseq(l, p=2, taps=None, seed=None):
@@ -21,7 +21,7 @@ PRIMITIVE = [(2, (1, 1, 0, 1)), (2, (1, 1, 0, 0, 1)), (2, (1, 0, 1, 0, 0, 1)),
 
 @st.composite
 def base_families(draw):
-    """(m-sequence, family, plan) over p in {2, 3, 5} with small l, b and q <= min(M, 9)."""
+    """(m-sequence, plan, q, tau) over p in {2, 3, 5} with small l, b and q <= min(M, 9)."""
     p, taps = draw(st.sampled_from(PRIMITIVE))
     l = len(taps) - 1
     seed = draw(st.lists(st.integers(0, p - 1), min_size=l, max_size=l).filter(any))
@@ -29,7 +29,7 @@ def base_families(draw):
     plan = FrequencyPlan(p=p, b=draw(st.integers(1, min(4, mseq.n - 1))))
     tau = draw(st.sampled_from([t for t in range(2, mseq.n) if is_prime(t)]))
     q = draw(st.integers(1, min(plan.M, 9)))
-    return mseq, FamilyConfig(q=q, tau=tau), plan
+    return mseq, plan, q, tau
 
 
 @pytest.fixture(scope="session")

@@ -25,10 +25,8 @@ from hopset.lfsr import (
     validate_primitive_polynomial,
 )
 from hopset.mapping import (
-    FamilyConfig,
     FrequencyPlan,
     build_base_set,
-    default_shift,
     validate_family,
 )
 from hopset.sim import SimScenario, simulate
@@ -87,8 +85,7 @@ def family16(ms14, plan16):
     start = time.perf_counter()
     families = {}
     for q in range(2, 17):
-        tau = default_shift(ms14.n, q)
-        base = build_base_set(ms14, FamilyConfig(q=q, tau=tau), plan16)
+        base = build_base_set(ms14, plan16, q)
         balanced, ledger = cfb_balance(base)
         families[q] = (base, balanced, ledger)
     return families, time.perf_counter() - start
@@ -97,7 +94,7 @@ def family16(ms14, plan16):
 def test_criterion_1_scale_reproduction():
     start = time.perf_counter()
     ms = make_mseq(14)
-    hops = build_base_set(ms, FamilyConfig(q=1, tau=2), FrequencyPlan(p=2, b=4))
+    hops = build_base_set(ms, FrequencyPlan(p=2, b=4), 1, 2)
     elapsed = time.perf_counter() - start
     ok = ms.n == 16383 and hops.length == 4095 and hops.plan.M == 16 and elapsed < 1.0
     report(1, "scale reproduction p=2 l=14 b=4",
@@ -246,7 +243,7 @@ def test_criterion_9_bruteforce_oracle_equivalence():
     for l, b, q in ((4, 2, 3), (5, 2, 4), (6, 2, 4), (6, 3, 6)):
         ms = make_mseq(l)
         plan = FrequencyPlan(p=2, b=b)
-        base = build_base_set(ms, FamilyConfig(q=q, tau=default_shift(ms.n, q)), plan)
+        base = build_base_set(ms, plan, q)
         balanced, _ = cfb_balance(base)
         for sset in (base, balanced):
             mat = sset.as_matrix()
@@ -288,8 +285,7 @@ def test_criterion_10_fairness_law_beyond_gf2():
               f"[{elapsed:.1f}s]{'' if within else '  <-- out of tolerance'}")
     # criteria 2 and 3 at p=3, l=9, M=q=27, default tau
     ms = sequences[3]
-    fam = FamilyConfig(q=27, tau=default_shift(ms.n, 27))
-    base = build_base_set(ms, fam, FrequencyPlan(p=3, b=3))
+    base = build_base_set(ms, FrequencyPlan(p=3, b=3), 27)
     balanced, _ = cfb_balance(base)
     within, spreads_kept, deviation = histogram_check(base, balanced)
     ok = ok and columns_distinct(balanced) and within and spreads_kept

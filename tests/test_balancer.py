@@ -6,17 +6,15 @@ from hypothesis import given, settings
 
 from hopset import balancer
 from hopset.balancer import cfb_balance, fit_linear, mean_operation_curve
-from hopset.correlation import frequency_histogram
+from hopset.correlation import analyze_set, frequency_histogram
 from hopset.errors import FamilySizeError, HopsetError, SingularFitError
 from hopset.lfsr import default_polynomial
 from hopset.mapping import (
     BALANCED,
     BASE,
-    FamilyConfig,
     FrequencyPlan,
     SequenceSet,
     build_base_set,
-    default_shift,
 )
 
 from conftest import base_families, make_mseq
@@ -27,7 +25,7 @@ def spot_histograms(matrix, M):
 
 
 def test_single_member_passes_through(ms6, plan_b2):
-    base = build_base_set(ms6, FamilyConfig(q=1, tau=5), plan_b2)
+    base = build_base_set(ms6, plan_b2, 1, 5)
     balanced, ledger = cfb_balance(base)
     assert np.array_equal(balanced.as_matrix(), base.as_matrix())
     assert ledger.op_count.tolist() == [0]
@@ -56,7 +54,7 @@ def test_hand_traced_most_operated_keeps(plan_b2):
 def test_columns_become_pairwise_distinct(l, b, q):
     ms = make_mseq(l)
     plan = FrequencyPlan(p=2, b=b)
-    base = build_base_set(ms, FamilyConfig(q=q, tau=7), plan)
+    base = build_base_set(ms, plan, q, 7)
     balanced, _ = cfb_balance(base)
     mat = balanced.as_matrix()
     for i in range(mat.shape[1]):
@@ -64,7 +62,7 @@ def test_columns_become_pairwise_distinct(l, b, q):
 
 
 def test_only_colliding_entries_change(ms6, plan_b2):
-    base = build_base_set(ms6, FamilyConfig(q=4, tau=7), plan_b2)
+    base = build_base_set(ms6, plan_b2, 4, 7)
     balanced, ledger = cfb_balance(base)
     before, after = base.as_matrix(), balanced.as_matrix()
     changed = before != after
@@ -94,6 +92,10 @@ def test_balancing_properties_over_gf_p(family):
     assert changed.sum() == ledger.op_count.sum()
     assert np.array_equal(changed.sum(axis=1), ledger.op_count)
     assert np.array_equal(ledger.usage, frequency_histogram(balanced))
+    # a rewritten entry of u or v changes one term of G_uv(d), two when u = v
+    ops = ledger.op_count
+    for u, (G, G_after) in enumerate(zip(analyze_set(base).profiles, analyze_set(balanced).profiles)):
+        assert (np.abs(G_after - G) <= ops[u] + ops[u:, None]).all()
 
 
 def reference_balance(base):
@@ -143,14 +145,14 @@ def test_tie_breaks_match_the_reference_over_gf_p(family):
 def test_tie_breaks_match_the_reference(l, M, q):
     ms = make_mseq(l)
     plan = FrequencyPlan(p=2, b=M.bit_length() - 1)
-    assert_matches_reference(build_base_set(ms, FamilyConfig(q=q, tau=default_shift(ms.n, q)), plan))
+    assert_matches_reference(build_base_set(ms, plan, q))
 
 
 def test_broken_usage_identity_is_a_math_error(ms6, plan_b2, monkeypatch):
     # usage counts that start one off no longer equal the balanced set's spot counts
     monkeypatch.setattr(balancer, "frequency_histogram",
                         lambda sset: frequency_histogram(sset) + (sset.kind == BASE))
-    base = build_base_set(ms6, FamilyConfig(q=4, tau=7), plan_b2)
+    base = build_base_set(ms6, plan_b2, 4, 7)
     with pytest.raises(HopsetError, match="usage"):
         cfb_balance(base)
 
@@ -160,13 +162,13 @@ def test_broken_total_identity_is_a_math_error(ms6, plan_b2, monkeypatch):
     # repeated spots than the balancer moved
     sort = lambda m, axis: np.sort(np.vstack([m, m[:1]]), axis=axis)
     monkeypatch.setattr(balancer, "np", SimpleNamespace(**{**vars(np), "sort": sort}))
-    base = build_base_set(ms6, FamilyConfig(q=4, tau=7), plan_b2)
+    base = build_base_set(ms6, plan_b2, 4, 7)
     with pytest.raises(HopsetError, match="total op_count"):
         cfb_balance(base)
 
 
 def test_usage_tracks_balanced_histograms(ms6, plan_b3):
-    base = build_base_set(ms6, FamilyConfig(q=6, tau=3), plan_b3)
+    base = build_base_set(ms6, plan_b3, 6, 3)
     balanced, ledger = cfb_balance(base)
     hist = spot_histograms(balanced.as_matrix(), 8)
     assert np.array_equal(ledger.usage, hist)
@@ -180,7 +182,7 @@ def test_usage_tracks_balanced_histograms(ms6, plan_b3):
 def test_spread_does_not_degrade(l, b, q):
     ms = make_mseq(l)
     plan = FrequencyPlan(p=2, b=b)
-    base = build_base_set(ms, FamilyConfig(q=q, tau=11), plan)
+    base = build_base_set(ms, plan, q, 11)
     balanced, _ = cfb_balance(base)
     before = spot_histograms(base.as_matrix(), plan.M)
     after = spot_histograms(balanced.as_matrix(), plan.M)
@@ -191,7 +193,7 @@ def test_spread_does_not_degrade(l, b, q):
 
 
 def test_balancing_is_deterministic(ms6, plan_b2):
-    base = build_base_set(ms6, FamilyConfig(q=4, tau=7), plan_b2)
+    base = build_base_set(ms6, plan_b2, 4, 7)
     first, led1 = cfb_balance(base)
     second, led2 = cfb_balance(base)
     assert np.array_equal(first.as_matrix(), second.as_matrix())
@@ -257,7 +259,7 @@ def test_mean_operation_curve_balances_prefixes_of_one_base_set():
         plan = FrequencyPlan(p=p, b=b)
         report = mean_operation_curve(ms, plan, tau=7)
         for q in report.q_values.tolist():
-            _, ledger = cfb_balance(build_base_set(ms, FamilyConfig(q=q, tau=7), plan))
+            _, ledger = cfb_balance(build_base_set(ms, plan, q, 7))
             assert report.mean_ops[q - 1] == ledger.op_count.sum() / q
 
 

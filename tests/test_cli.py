@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -13,7 +14,7 @@ from hopset import seqio
 from hopset.balancer import mean_operation_curve
 from hopset.cli import _resolve_config, build_parser, main
 from hopset.errors import ConfigError
-from hopset.mapping import SIZE_LIMIT
+from hopset.mapping import SIZE_LIMIT, FrequencyPlan
 
 SMALL = ["--l", "6", "--M", "4", "--q", "3"]
 PRIME_30_DIGITS = str(10**29 + 319)
@@ -87,9 +88,9 @@ def test_oversized_numbers_rejected_before_work(argv):
 
 
 def test_largest_acceptance_config_within_limits():
-    cfg = resolve("--l", "18", "--M", "64", "--q", "64")
-    assert (cfg.n, cfg.plan.M, cfg.q) == (2**18 - 1, 64, 64)
-    assert resolve("--l", "24", "--M", "2", "--q", "1").n == SIZE_LIMIT - 1
+    assert resolve("--l", "18", "--M", "64", "--q", "64") == FrequencyPlan(p=2, b=6)
+    # the period n = 2^24 - 1 is SIZE_LIMIT - 1
+    assert resolve("--l", "24", "--M", "2", "--q", "1") == FrequencyPlan(p=2, b=1)
 
 
 def test_explicit_polynomial_accepted(tmp_path, capsys):
@@ -391,9 +392,14 @@ def test_simulate_malformed_scenario(tmp_path, capsys):
     {"hops": 5, "offsets": 3},
     {"hops": 5, "offsets": [0.0, 0.5]},
     {"hops": 10**23},
+    # the horizon is refused from the header, before the corrupt row is read
+    {"hops": 0, "sequences": "corrupt.txt"},
+    {"hops": 10**23, "sequences": "corrupt.txt"},
 ])
 def test_simulate_bad_scenario_is_parse_error(tmp_path, capsys, fields):
     run(capsys, "generate", *SMALL, "--out", str(tmp_path))
+    header, first, *rest = (tmp_path / "balanced.txt").read_text().splitlines()
+    (tmp_path / "corrupt.txt").write_text("\n".join([header, "x" + first, *rest]) + "\n")
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"sequences": "balanced.txt", **fields}))
     code, out, err = run(capsys, "simulate", str(scenario))
@@ -488,3 +494,30 @@ def test_cli_fuzz_exit_codes_and_json_errors(fuzz_root, data):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and "Traceback" not in lines[0]
         assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+def directory_digest(directory):
+    """sha256 over a directory's files in name order, each adding name, NUL, bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(directory.iterdir(), key=lambda path: path.name):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_outputs_match_pinned_digests(tmp_path, capsys):
+    # fairness is left out: its fit lines go through np.dot, whose last bit
+    # can depend on the BLAS build
+    gf2, gf3, analysis = (tmp_path / name for name in ("gf2", "gf3", "analysis"))
+    runs = [
+        ["generate", "--l", "8", "--M", "16", "--q", "16", "--out", str(gf2)],
+        ["generate", "--l", "9", "--M", "27", "--q", "27",
+         "--poly", "1,0,0,0,0,0,2,1,0,1", "--out", str(gf3)],
+        ["analyze", str(gf2 / "base.txt"), str(gf2 / "balanced.txt"), "--out", str(analysis)],
+    ]
+    for argv in runs:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+    assert [len(list(d.iterdir())) for d in (gf2, gf3, analysis)] == [4, 4, 276]
+    assert directory_digest(gf2) == "ce2e02ee1b045ba5179929ddacb52b631e2b9d562cf01017ef16c1083a5b5bf6"
+    assert directory_digest(gf3) == "4229348791640d257e8166baae06fc33ba74e96692dd4bd443970706d53bd2f9"
+    assert directory_digest(analysis) == "a2aacd76f342d1e7940d1370e1c30f915ced4a7c4312d692bcdc432344051316"

@@ -15,7 +15,9 @@ from hopset.correlation import (
     zero_delay_hits,
 )
 from hopset.errors import HopsetError
-from hopset.mapping import BASE, FamilyConfig, FrequencyPlan, SequenceSet, build_base_set
+from hopset.mapping import BASE, FrequencyPlan, SequenceSet, build_base_set
+
+from conftest import make_mseq
 
 
 # --- independent oracle ---------------------------------------------------
@@ -31,7 +33,7 @@ def naive_profile(u, v):
 
 @pytest.fixture(scope="module")
 def small_sets(ms6, plan_b2):
-    base = build_base_set(ms6, FamilyConfig(q=4, tau=7), plan_b2)
+    base = build_base_set(ms6, plan_b2, 4, 7)
     balanced, _ = cfb_balance(base)
     return base, balanced
 
@@ -44,7 +46,7 @@ def test_hand_counted_zero_delay(plan_b2):
 
 
 def test_auto_peak_equals_length(ms6, plan_b2):
-    sset = build_base_set(ms6, FamilyConfig(q=1, tau=5), plan_b2)
+    sset = build_base_set(ms6, plan_b2, 1, 5)
     assert hamming_correlation(sset, 0, 0, 0) == 31
 
 
@@ -168,7 +170,7 @@ def test_base_set_has_violations(small_sets):
 
 
 def test_single_member_vacuously_orthogonal(ms6, plan_b2):
-    sset = build_base_set(ms6, FamilyConfig(q=1, tau=5), plan_b2)
+    sset = build_base_set(ms6, plan_b2, 1, 5)
     assert zero_delay_hits(sset.as_matrix()).tolist() == [[0]]
     assert analyze_set(sset).orthogonal_at_zero
 
@@ -183,7 +185,7 @@ def test_histogram_counts(plan_b2):
 
 
 def test_no_hit_zone_single_member(ms6, plan_b2):
-    sset = build_base_set(ms6, FamilyConfig(q=1, tau=5), plan_b2)
+    sset = build_base_set(ms6, plan_b2, 1, 5)
     assert analyze_set(sset).no_hit_zone == 30
 
 
@@ -281,3 +283,30 @@ def test_fft_engine_matches_bruteforce(sset):
     assert report.max_hamming == expected_max
     assert report.orthogonal_at_zero == (not any(zero))
     assert report.no_hit_zone == expected_zone
+
+
+# --- closed form at full length -----------------------------------------------
+
+@pytest.mark.parametrize("p,l,b,taps", [
+    (2, 10, 4, None),
+    (2, 16, 6, None),
+    (3, 9, 2, (1, 0, 0, 0, 0, 0, 2, 1, 0, 1)),  # criterion 10's taps
+    (5, 6, 2, (2, 0, 0, 0, 0, 1, 1)),
+    (3, 4, 2, (2, 1, 0, 0, 1)),
+    (3, 4, 4, (2, 1, 0, 0, 1)),  # b = l: every window of l symbols is nonzero
+])
+def test_window_sequence_autocorrelation_is_closed_form(p, l, b, taps):
+    """The window sequence W(t) = sum_{i<b} s(t+i) p^i of Lempel & Greenberger
+    (IEEE Trans. IT 20(1), 1974), hopping at every t of the period n = p^l - 1.
+
+    For d != 0, s(t) - s(t+d) is another shift of s, so W(t) = W(t+d) exactly
+    where that shift starts b zeros: p^(l-b) - 1 times per period.
+    """
+    s = make_mseq(l, p=p, taps=taps).symbols.astype(np.int64)
+    n = p**l - 1
+    wrapped = np.concatenate([s, s[:b]])
+    words = sum(wrapped[i:i + n] * p**i for i in range(b))
+    sset = SequenceSet(words[None, :], FrequencyPlan(p=p, b=b), BASE)
+    auto = analyze_set(sset).profiles[0][0]
+    assert auto.size == n and auto[0] == n
+    assert (auto[1:] == p**(l - b) - 1).all()

@@ -8,7 +8,6 @@ from hopset.lfsr import is_prime
 from hopset.mapping import (
     BALANCED,
     BASE,
-    FamilyConfig,
     FrequencyPlan,
     SequenceSet,
     build_base_set,
@@ -22,16 +21,16 @@ from conftest import base_families, make_mseq
 
 # --- independent oracle ---------------------------------------------------
 
-def formula_rows(mseq, fam, plan):
+def formula_rows(mseq, plan, q, tau):
     """Member a, hop j: sum_i s((a*tau + j*b + i) mod n) * p^i, one symbol at a time."""
     s, n, b, p = mseq.symbols.tolist(), mseq.n, plan.b, plan.p
-    return [[sum(s[(a * fam.tau + j * b + i) % n] * p**i for i in range(b))
-             for j in range(n // b)] for a in range(fam.q)]
+    return [[sum(s[(a * tau + j * b + i) % n] * p**i for i in range(b))
+             for j in range(n // b)] for a in range(q)]
 
 
 def tuple_map(mseq, plan):
     """Member 0 of a base set: the unrotated sequence mapped word by word."""
-    return build_base_set(mseq, FamilyConfig(q=1, tau=2), plan).as_matrix()[0]
+    return build_base_set(mseq, plan, 1, 2).as_matrix()[0]
 
 
 # --- hop mapping ------------------------------------------------------------
@@ -53,7 +52,7 @@ def test_tuple_map_drops_trailing_symbols(ms3):
 
 def test_degree14_width4_gives_4095_hops():
     ms = make_mseq(14)
-    sset = build_base_set(ms, FamilyConfig(q=1, tau=2), FrequencyPlan(p=2, b=4))
+    sset = build_base_set(ms, FrequencyPlan(p=2, b=4), 1, 2)
     assert sset.length == 4095
     assert sset.plan.M == 16
 
@@ -86,13 +85,13 @@ def test_all_spots_used_when_long_enough(ms6, plan_b2):
 
 
 def test_shift_zero_reproduces_tuple_map(ms6, plan_b2):
-    sset = build_base_set(ms6, FamilyConfig(q=3, tau=5), plan_b2)
+    sset = build_base_set(ms6, plan_b2, 3, 5)
     assert np.array_equal(sset.as_matrix()[0], tuple_map(ms6, plan_b2))
 
 
 def test_shifted_member_hand_evaluated(ms3):
     # a=1, tau=3, b=2 on the period-7 sequence: words s(3+2j), s(4+2j) mod 7
-    sset = build_base_set(ms3, FamilyConfig(q=2, tau=3), FrequencyPlan(p=2, b=2))
+    sset = build_base_set(ms3, FrequencyPlan(p=2, b=2), 2, 3)
     s = ms3.symbols.tolist()
     expected = [s[(3 + 2 * j) % 7] + 2 * s[(4 + 2 * j) % 7] for j in range(3)]
     assert sset.as_matrix()[1].tolist() == expected == [1, 3, 1]
@@ -100,33 +99,32 @@ def test_shifted_member_hand_evaluated(ms3):
 
 @pytest.mark.parametrize("a", [0, 1, 2, 3, 4])
 def test_length_same_for_every_member(ms6, plan_b3, a):
-    sset = build_base_set(ms6, FamilyConfig(q=5, tau=11), plan_b3)
+    sset = build_base_set(ms6, plan_b3, 5, 11)
     assert sset.as_matrix()[a].size == sset.length == 21  # 63 // 3
 
 
 def test_member_index_out_of_range(ms6, plan_b2):
-    sset = build_base_set(ms6, FamilyConfig(q=2, tau=5), plan_b2)
+    sset = build_base_set(ms6, plan_b2, 2, 5)
     with pytest.raises(IndexError):
         correlation_profile(sset, 2, 0)
 
 
 def test_shift_must_stay_below_period(ms3, plan_b2):
     with pytest.raises(HopsetError):
-        build_base_set(ms3, FamilyConfig(q=2, tau=7), plan_b2)
+        build_base_set(ms3, plan_b2, 2, 7)
 
 
 @settings(derandomize=True, deadline=None)
 @given(base_families())
 def test_base_set_gather_matches_member_formula(family):
-    mseq, fam, plan = family
-    sset = build_base_set(mseq, fam, plan)
+    sset = build_base_set(*family)
     assert sset.kind == BASE
-    assert sset.as_matrix().tolist() == formula_rows(mseq, fam, plan)
+    assert sset.as_matrix().tolist() == formula_rows(*family)
 
 
-def test_family_shift_must_be_prime():
+def test_family_shift_must_be_prime(ms6, plan_b2):
     with pytest.raises(HopsetError):
-        FamilyConfig(q=2, tau=4)
+        build_base_set(ms6, plan_b2, 2, 4)
 
 
 def test_family_size_bounds(plan_b2):
@@ -139,15 +137,14 @@ def test_family_size_bounds(plan_b2):
 
 
 def test_base_set_single_member_is_tuple_map(ms6, plan_b2):
-    fam = FamilyConfig(q=1, tau=5)
-    sset = build_base_set(ms6, fam, plan_b2)
+    sset = build_base_set(ms6, plan_b2, 1, 5)
     assert sset.kind == BASE
     assert sset.q == 1
-    assert sset.as_matrix().tolist() == formula_rows(ms6, fam, plan_b2)
+    assert sset.as_matrix().tolist() == formula_rows(ms6, plan_b2, 1, 5)
 
 
 def test_base_set_members_differ(ms6, plan_b2):
-    sset = build_base_set(ms6, FamilyConfig(q=4, tau=7), plan_b2)
+    sset = build_base_set(ms6, plan_b2, 4, 7)
     mat = sset.as_matrix()
     for u in range(4):
         for v in range(u + 1, 4):
@@ -156,7 +153,7 @@ def test_base_set_members_differ(ms6, plan_b2):
 
 def test_base_set_size_violation(ms6, plan_b2):
     with pytest.raises(FamilySizeError):
-        build_base_set(ms6, FamilyConfig(q=5, tau=7), plan_b2)
+        build_base_set(ms6, plan_b2, 5, 7)
 
 
 def test_default_shift_rule():

@@ -13,13 +13,13 @@ from hopset import seqio
 from hopset.balancer import cfb_balance, mean_operation_curve
 from hopset.correlation import analyze_set, correlation_profile
 from hopset.errors import ScenarioError, SequenceFormatError
-from hopset.mapping import FamilyConfig, build_base_set
+from hopset.mapping import build_base_set
 from hopset.sim import simulate
 
 
 @pytest.fixture(scope="module")
 def family(ms6, plan_b2):
-    base = build_base_set(ms6, FamilyConfig(q=4, tau=7), plan_b2)
+    base = build_base_set(ms6, plan_b2, 4, 7)
     balanced, ledger = cfb_balance(base)
     return base, balanced, ledger
 

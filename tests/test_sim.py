@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hopset.balancer import cfb_balance
 from hopset.correlation import hamming_correlation
 from hopset.errors import ScenarioError
-from hopset.mapping import FamilyConfig, build_base_set
+from hopset.mapping import build_base_set
 from hopset.sim import SimScenario, simulate
 
 from conftest import base_families
@@ -13,7 +13,7 @@ from conftest import base_families
 
 @pytest.fixture(scope="module")
 def family(ms6, plan_b2):
-    base = build_base_set(ms6, FamilyConfig(q=4, tau=7), plan_b2)
+    base = build_base_set(ms6, plan_b2, 4, 7)
     balanced, _ = cfb_balance(base)
     return base, balanced
 
@@ -27,7 +27,7 @@ def test_balanced_set_never_collides(family):
 
 
 def test_single_user_never_collides(ms6, plan_b2):
-    sset = build_base_set(ms6, FamilyConfig(q=1, tau=5), plan_b2)
+    sset = build_base_set(ms6, plan_b2, 1, 5)
     report = simulate(SimScenario(sset=sset, hops=50))
     assert report.total_collisions == 0
     assert report.collision_rate == 0.0
@@ -98,8 +98,7 @@ def brute_force_per_pair(matrix, hops):
 @settings(derandomize=True, deadline=None)
 @given(base_families(), st.data())
 def test_period_fold_matches_brute_force(family, data):
-    mseq, fam, plan = family
-    base = build_base_set(mseq, fam, plan)
+    base = build_base_set(*family)
     for sset in (base, cfb_balance(base)[0]):
         L = sset.length
         hops = data.draw(st.one_of(st.integers(1, 4 * L), st.sampled_from([L, 2 * L, 3 * L])))
