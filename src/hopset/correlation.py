@@ -89,6 +89,8 @@ def frequency_histogram(sset: SequenceSet) -> np.ndarray:
 def zero_delay_hits(matrix) -> np.ndarray:
     """q x q counts of the columns of a q x L matrix where members u != v share a spot."""
     q = len(matrix)
+    # spots are non-negative: compare in the narrowest type that holds them (1 byte at M <= 256)
+    matrix = matrix.astype(np.min_scalar_type(matrix.max(initial=0)))
     hits = np.zeros((q, q), dtype=np.int64)
     for u in range(q - 1):  # member u against every later member in one call
         hits[u, u + 1:] = np.count_nonzero(matrix[u] == matrix[u + 1:], axis=1)

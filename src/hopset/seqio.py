@@ -7,8 +7,9 @@ sequence per line of comma-separated spot indices:
 
 Every integer in outside text (header fields, sequence entries, CLI flags) is
 a run of ASCII digits [0-9], with no sign, space, '_' or other digit: one
-grammar, `integers`, the one the writer writes. The reader checks a row once
-and converts it with one numpy assignment.
+grammar, `integers`, the one the writer writes. The reader checks a row
+against the grammar once and parses it with one `np.fromstring` call; only a
+row that fails the range check is scanned entry by entry, to name its column.
 
 All writes go through a temp file and rename, so partially written outputs
 never appear under the target name. CSV output uses '.' decimals and '\n'
@@ -16,6 +17,7 @@ newlines regardless of locale.
 """
 
 import contextlib
+import functools
 import json
 import os
 import re
@@ -41,7 +43,9 @@ def integers(text, out=None):
         raise ValueError(f"not comma-separated ASCII integers: {text!r}")
     if out is None:
         return list(map(int, text.split(",")))
-    out[:] = text.split(",")
+    # one C strtoll pass; it saturates at INT64_MAX and never wraps, so a
+    # too-large entry still fails the caller's range check
+    out[:] = np.fromstring(text, dtype=np.int64, sep=",")
     return out
 
 
@@ -136,11 +140,14 @@ def write_fairness_csv(path, report):
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+@functools.lru_cache(maxsize=1)
+def _profile_template(n):
+    return "delay,count\n" + "".join(f"{d},%d\n" for d in range(n))
+
+
 def write_profile_csv(path, values):
-    """One pair's profile, a `delay,count` line per delay, formatted from Python ints."""
-    lines = ["delay,count"]
-    lines += [f"{d},{c}" for d, c in enumerate(values.tolist())]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    """One pair's profile, a `delay,count` line per delay, from one `%d` template per length."""
+    _atomic_write_text(path, _profile_template(len(values)) % tuple(values.tolist()))
 
 
 def write_histograms_csv(path, histograms):

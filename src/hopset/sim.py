@@ -3,9 +3,9 @@
 All users hop at the same rate and are frame synchronized, so at hop t
 user u sits on spot member_u(t mod L) and a collision is two users on the
 same spot in the same hop slot. Sequences repeat cyclically, so a horizon
-of hops = k*L + r slots counts k times the zero-delay hits of one period
-plus those of the first r columns. A run costs O(q^2 * L) whatever its
-horizon.
+of hops = k*L + r slots counts the zero-delay hits of the first r columns
+k+1 times and those of the other L-r columns k times: each column is
+compared once. A run costs O(q^2 * L) whatever its horizon.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +50,9 @@ def simulate(scn: SimScenario) -> CollisionReport:
     """Count per-pair slot coincidences over scn.hops synchronized hops."""
     matrix = scn.sset.as_matrix()
     periods, rest = divmod(scn.hops, matrix.shape[1])
-    per_pair = periods * zero_delay_hits(matrix) + zero_delay_hits(matrix[:, :rest])
+    # each term stays <= hops; (periods + 1) * head would overflow at hops = 2^63 - 1, L = 1
+    head, tail = zero_delay_hits(matrix[:, :rest]), zero_delay_hits(matrix[:, rest:])
+    per_pair = periods * (head + tail) + head
     total = int(np.triu(per_pair, 1).sum())
     pairs = scn.sset.q * (scn.sset.q - 1) // 2
     rate = total / (scn.hops * pairs) if pairs else 0.0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hopset.correlation import (
     zero_delay_hits,
 )
 from hopset.errors import HopsetError
-from hopset.mapping import BASE, FrequencyPlan, SequenceSet, build_base_set
+from hopset.mapping import BASE, FrequencyPlan, SequenceSet, build_base_set, default_shift
 
 from conftest import make_mseq
 
@@ -29,6 +30,12 @@ def naive_hamming(u, v, d):
 
 def naive_profile(u, v):
     return [naive_hamming(u, v, d) for d in range(len(u))]
+
+
+def naive_zero_delay_hits(mat):
+    q = len(mat)
+    return [[naive_hamming(mat[u], mat[v], 0) if u != v else 0 for v in range(q)]
+            for u in range(q)]
 
 
 @pytest.fixture(scope="module")
@@ -163,16 +170,34 @@ def test_base_set_has_violations(small_sets):
     base, _ = small_sets
     hits = zero_delay_hits(base.as_matrix())
     assert hits.any() and not analyze_set(base).orthogonal_at_zero
-    mat = base.as_matrix().tolist()
-    counts = [[naive_hamming(mat[u], mat[v], 0) if u != v else 0 for v in range(4)]
-              for u in range(4)]
-    assert hits.tolist() == counts
+    assert hits.tolist() == naive_zero_delay_hits(base.as_matrix().tolist())
 
 
 def test_single_member_vacuously_orthogonal(ms6, plan_b2):
     sset = build_base_set(ms6, plan_b2, 1, 5)
     assert zero_delay_hits(sset.as_matrix()).tolist() == [[0]]
     assert analyze_set(sset).orthogonal_at_zero
+
+
+@pytest.mark.parametrize("top, narrower", [
+    (255, None), (256, np.uint8), (65535, np.uint8), (65536, np.uint16), (2**24 - 1, np.uint16),
+])
+def test_zero_delay_hits_at_the_narrow_dtype_boundaries(top, narrower):
+    # spots that a too-narrow cast would fold together: 256 and 0, 65536 and 0, 2^24-1 and 65535
+    spots = [v for v in (0, 1, 255, 256, 257, 65535, 65536, 2**24 - 1) if v < top] + [top]
+    rng = np.random.default_rng(top)
+    sset = SequenceSet(rng.choice(spots, size=(5, 64)), FrequencyPlan(p=2, b=24), BASE)
+    mat = sset.as_matrix()
+    expected = naive_zero_delay_hits(mat.tolist())
+    assert zero_delay_hits(mat).tolist() == expected
+    if narrower is not None:  # the data would catch a cast one size too narrow
+        assert naive_zero_delay_hits(mat.astype(narrower).tolist()) != expected
+
+
+def test_zero_delay_hits_of_no_columns_and_one_member(small_sets):
+    base, _ = small_sets
+    assert zero_delay_hits(base.as_matrix()[:, :0]).tolist() == [[0] * 4] * 4
+    assert zero_delay_hits(base.as_matrix()[:1]).tolist() == [[0]]
 
 
 def test_histogram_counts(plan_b2):
@@ -310,3 +335,21 @@ def test_window_sequence_autocorrelation_is_closed_form(p, l, b, taps):
     auto = analyze_set(sset).profiles[0][0]
     assert auto.size == n and auto[0] == n
     assert (auto[1:] == p**(l - b) - 1).all()
+
+
+@pytest.mark.parametrize("l,b,q", [
+    (12, 4, 16), (14, 4, 8), (14, 4, 16), (13, 5, 32), (15, 4, 16), (16, 4, 16),
+])
+def test_base_peak_is_at_least_the_shift_closed_form(l, b, q):
+    """Member a hops on W(a*tau + j*b mod n), so member v's word j is member u's
+    word j + k whenever k*b = (v-u)*tau (mod n): about L - |k| coincidences at
+    that delay. The largest over member distances is a lower bound on the
+    base set's peak; at these configs the peak is within 2% of L above it.
+    """
+    n = 2**l - 1
+    assert gcd(b, n) == 1
+    L, tau, inverse = n // b, default_shift(n, q), pow(b, -1, n)
+    shifts = (delta * tau * inverse % n for delta in range(1, q))
+    prediction = max(L - min(r, n - r) for r in shifts)
+    base = build_base_set(make_mseq(l), FrequencyPlan(p=2, b=b), q)
+    assert prediction <= analyze_set(base).max_hamming <= prediction + 0.02 * L

@@ -155,6 +155,17 @@ def test_out_of_range_spot_rejected(tmp_path):
     assert err.value.column == 3
 
 
+@pytest.mark.parametrize("value", [2**64 + 1, 2**63])
+def test_too_large_spot_saturates_and_never_wraps(tmp_path, value):
+    # 2^64 + 1 would wrap to 1; np.fromstring saturates at INT64_MAX, which fails < M
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# M=4 n=2 q=1 kind=base\n0,{value}\n")
+    with pytest.raises(SequenceFormatError,
+                       match=re.escape(f"spot index {value} outside [0, 4)")) as err:
+        seqio.read_sequence_set(path)
+    assert (err.value.line, err.value.column) == (2, 3)
+
+
 @pytest.mark.parametrize("row, message, column", [
     ("1,x", "not an integer: 'x'", 3),
     ("1,4", "spot index 4 outside [0, 4)", 3),

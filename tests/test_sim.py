@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hopset.balancer import cfb_balance
 from hopset.correlation import hamming_correlation
 from hopset.errors import ScenarioError
-from hopset.mapping import build_base_set
+from hopset.mapping import BASE, FrequencyPlan, SequenceSet, build_base_set
 from hopset.sim import SimScenario, simulate
 
 from conftest import base_families
@@ -81,6 +81,15 @@ def test_hop_horizon_must_fit_int64_counts(family):
     assert SimScenario(sset=base, hops=limit).hops == limit
     with pytest.raises(ScenarioError):
         SimScenario(sset=base, hops=limit + 1)
+
+
+def test_largest_horizon_of_one_hop_counts_every_slot():
+    # L = 1, so periods = hops = 2^63 - 1: the fold must not multiply by periods + 1
+    hops = np.iinfo(np.int64).max
+    sset = SequenceSet([[0], [0]], FrequencyPlan(p=2, b=1), BASE)
+    report = simulate(SimScenario(sset=sset, hops=hops))
+    assert report.per_pair.tolist() == [[0, hops], [hops, 0]]
+    assert report.total_collisions == hops and report.collision_rate == 1.0
 
 
 def brute_force_per_pair(matrix, hops):
