@@ -17,7 +17,6 @@ from .correlation import (
 )
 from .errors import (
     ConfigError,
-    DegenerateSeedError,
     EmptySequenceError,
     FamilySizeError,
     HopsetError,
@@ -27,7 +26,7 @@ from .errors import (
     SingularFitError,
     UnsupportedDegreeError,
 )
-from .lfsr import LfsrConfig, MSequence, default_polynomial, generate_m_sequence, validate_primitive_polynomial
+from .lfsr import default_polynomial, m_sequence, validate_primitive_polynomial
 from .mapping import (
     BALANCED,
     BASE,

@@ -25,7 +25,6 @@ import numpy as np
 
 from .correlation import frequency_histogram
 from .errors import HopsetError, SingularFitError
-from .lfsr import MSequence
 from .mapping import (
     BALANCED,
     BASE,
@@ -126,7 +125,7 @@ def fit_linear(xs, ys):
     return slope, intercept
 
 
-def mean_operation_curve(mseq: MSequence, plan: FrequencyPlan, tau=None) -> FairnessReport:
+def mean_operation_curve(plan: FrequencyPlan, taps, tau=None) -> FairnessReport:
     """Count the mean operations of families of every size q = 1..M and fit the trend.
 
     One base set of M members is built with rotation step tau (default: the
@@ -137,7 +136,7 @@ def mean_operation_curve(mseq: MSequence, plan: FrequencyPlan, tau=None) -> Fair
     and fitted with a least-squares line over q.
     """
     M = plan.M
-    full = build_base_set(mseq, plan, M, tau).as_matrix()
+    full = build_base_set(plan, taps, M, tau).as_matrix()
     cols = np.arange(full.shape[1])
     held = np.zeros((M, full.shape[1]), dtype=bool)  # spot x column
     repeats = np.zeros(M, dtype=np.int64)

@@ -21,7 +21,7 @@ from pathlib import Path
 from .balancer import cfb_balance, mean_operation_curve
 from .correlation import analyze_set
 from .errors import ConfigError, HopsetError, SequenceFormatError
-from .lfsr import LfsrConfig, default_polynomial, generate_m_sequence, is_prime
+from .lfsr import default_polynomial, is_prime
 from .mapping import SIZE_LIMIT, FrequencyPlan, build_base_set, plan_from_spot_count, validate_family
 from . import seqio
 from .sim import simulate
@@ -72,12 +72,6 @@ def _resolve_config(args) -> FrequencyPlan:
     return plan
 
 
-def _build_sequence(args, plan: FrequencyPlan):
-    taps = args.poly if args.poly is not None else default_polynomial(plan.p, args.l)
-    seed = (1,) + (0,) * (args.l - 1)
-    return generate_m_sequence(LfsrConfig(p=plan.p, taps=taps, seed=seed))
-
-
 def _out_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -86,7 +80,7 @@ def _out_dir(path) -> Path:
 
 def cmd_generate(args) -> int:
     plan = _resolve_config(args)
-    base = build_base_set(_build_sequence(args, plan), plan, args.q, args.tau)
+    base = build_base_set(plan, args.poly or default_polynomial(plan.p, args.l), args.q, args.tau)
     balanced, ledger = cfb_balance(base)
 
     out = _out_dir(args.out)
@@ -119,7 +113,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_fairness(args) -> int:
     plan = _resolve_config(args)
-    report = mean_operation_curve(_build_sequence(args, plan), plan, tau=args.tau)
+    report = mean_operation_curve(plan, args.poly or default_polynomial(plan.p, args.l), tau=args.tau)
     out = _out_dir(args.out)
     seqio.write_fairness_csv(out / "fairness.csv", report)
     print(out / "fairness.csv")

@@ -9,10 +9,6 @@ class InvalidPolynomialError(HopsetError):
     """Polynomial is malformed (degree 0, bad coefficients) or not primitive."""
 
 
-class DegenerateSeedError(HopsetError):
-    """LFSR seed is all zero and would generate the constant zero sequence."""
-
-
 class UnsupportedDegreeError(HopsetError):
     """No built-in primitive polynomial for the requested (p, l)."""
 

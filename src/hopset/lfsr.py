@@ -6,18 +6,16 @@ The generator follows the Fibonacci-form recurrence
 
     s(t) = -(c_0*s(t-l) + c_1*s(t-l+1) + ... + c_{l-1}*s(t-1)) / c_l  (mod p)
 
-from the seed symbols, which it emits first, so a valid configuration
+from the state (1, 0, ..., 0), which it emits first, so a primitive polynomial
 produces one full period p^l - 1 of a maximal-length sequence. One routine,
 `_x_power`, computes x^e mod f: the primitivity test raises x to the group
 order and its cofactors, and the generator uses x^t mod f to write the
 recurrence a block at a time.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import DegenerateSeedError, InvalidPolynomialError, UnsupportedDegreeError
+from .errors import InvalidPolynomialError, UnsupportedDegreeError
 
 # Exponents with nonzero coefficients of one primitive polynomial over GF(2)
 # per degree, e.g. (0, 1, 3) is x^3 + x + 1. Classic maximal-LFSR taps.
@@ -118,7 +116,7 @@ def validate_primitive_polynomial(p, taps):
     """Check whether `taps` is a primitive polynomial over GF(p).
 
     Returns True iff the LFSR with this characteristic polynomial cycles
-    through all p^l - 1 nonzero states from any nonzero seed, which holds
+    through all p^l - 1 nonzero states from any nonzero state, which holds
     exactly when x has multiplicative order p^l - 1 modulo the polynomial.
 
     Raises InvalidPolynomialError for malformed input (degree 0, leading
@@ -134,7 +132,7 @@ def default_polynomial(p, l):
 
     Only p=2 with 3 <= l <= 18 is tabulated; other moduli or degrees must be
     supplied by the caller. Raises UnsupportedDegreeError for entries outside
-    the table. Entries are returned as tabulated: `LfsrConfig` checks every
+    the table. Entries are returned as tabulated: `m_sequence` checks every
     polynomial it is given, so a run checks its polynomial once.
     """
     if p != 2 or l not in _GF2_PRIMITIVE_EXPONENTS:
@@ -145,78 +143,32 @@ def default_polynomial(p, l):
     return tuple(1 if i in exps else 0 for i in range(l + 1))
 
 
-@dataclass(frozen=True)
-class LfsrConfig:
-    """Validated LFSR configuration: prime modulus, primitive taps, nonzero seed."""
+def m_sequence(p, taps):
+    """One full period of the m-sequence of `taps` over GF(p), as a read-only int64 array.
 
-    p: int
-    taps: tuple
-    seed: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "taps", tuple(int(c) for c in self.taps))
-        object.__setattr__(self, "seed", tuple(int(s) for s in self.seed))
-        if not validate_primitive_polynomial(self.p, self.taps):
-            raise InvalidPolynomialError(
-                f"taps {self.taps} are not primitive over GF({self.p})"
-            )
-        if len(self.seed) != self.l:
-            raise DegenerateSeedError(
-                f"seed length {len(self.seed)} does not match degree {self.l}"
-            )
-        if any(s < 0 or s >= self.p for s in self.seed):
-            raise DegenerateSeedError(f"seed symbols must lie in [0, {self.p})")
-        if not any(self.seed):
-            raise DegenerateSeedError("all-zero seed generates the zero sequence")
-
-    @property
-    def l(self):
-        return len(self.taps) - 1
-
-    @property
-    def period(self):
-        return self.p**self.l - 1
-
-
-@dataclass(frozen=True, eq=False)
-class MSequence:
-    """One full period of a maximal-length sequence over GF(p)."""
-
-    symbols: np.ndarray = field(repr=False)
-    origin: LfsrConfig
-
-    @property
-    def n(self):
-        return len(self.symbols)
-
-    @property
-    def p(self):
-        return self.origin.p
-
-
-def generate_m_sequence(cfg: LfsrConfig) -> MSequence:
-    """Run the LFSR for one full period and return the emitted symbols.
-
-    The output has length n = p^l - 1, starts with the seed symbols, and is
-    identical on every call with the same configuration. The recurrence jumps
-    ahead in blocks: with r = x^t mod f, s(t + j) = sum_i r_i * s(j + i), and
-    for j < t - l + 1 every symbol on the right is already known, so each block
-    is l multiply-adds over earlier symbols and about log2(n) blocks fill the
-    period.
+    Raises InvalidPolynomialError unless `taps` is primitive over GF(p). The
+    register starts from the state (1, 0, ..., 0), which it emits first; any
+    other nonzero state only rotates the same period of n = p^l - 1 symbols.
+    The recurrence jumps ahead in blocks: with r = x^t mod f,
+    s(t + j) = sum_i r_i * s(j + i), and for j < t - l + 1 every symbol on the
+    right is already known, so each block is l multiply-adds over earlier
+    symbols and about log2(n) blocks fill the period.
     """
-    p = cfg.p
-    l = cfg.l
-    n = cfg.period
+    taps = tuple(int(c) for c in taps)
+    if not validate_primitive_polynomial(p, taps):
+        raise InvalidPolynomialError(f"taps {taps} are not primitive over GF({p})")
+    l = len(taps) - 1
+    n = p**l - 1
     symbols = np.zeros(n, dtype=np.int64)
-    symbols[:l] = cfg.seed
+    symbols[0] = 1
     t = l
     while t < n:
         k = min(t - l + 1, n - t)
         block = symbols[t:t + k]  # zero until summed; exact while l*(p-1)^2 < 2^63
-        for i, ri in enumerate(_x_power(p, cfg.taps, t)):
+        for i, ri in enumerate(_x_power(p, taps, t)):
             if ri:
                 block += symbols[i:i + k] if ri == 1 else ri * symbols[i:i + k]
         block %= p
         t += k
     symbols.setflags(write=False)
-    return MSequence(symbols=symbols, origin=cfg)
+    return symbols

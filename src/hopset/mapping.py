@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySequenceError, FamilySizeError, HopsetError
-from .lfsr import MSequence, is_prime, prime_factors
+from .lfsr import is_prime, m_sequence, prime_factors
 
 BASE = "base"
 BALANCED = "balanced"
@@ -129,18 +129,18 @@ def default_shift(n, q):
     return tau
 
 
-def build_base_set(mseq: MSequence, plan: FrequencyPlan, q, tau=None) -> SequenceSet:
+def build_base_set(plan: FrequencyPlan, taps, q, tau=None) -> SequenceSet:
     """Construct the (generally non-orthogonal) base set of q members rotated by tau.
 
-    The family is checked here; tau=None takes default_shift(n, q).
+    s is m_sequence(plan.p, taps), so the taps are read over the plan's
+    modulus. The family is checked here; tau=None takes default_shift(n, q).
     hop_a(j) = sum_i s((a*tau + j*b + i) mod n) * p^i: the word starting at
     symbol k is W(k) = sum_i s((k + i) mod n) * p^i, so member a reads W at
     the starts a*tau + j*b; trailing n mod b symbols of each rotation go unused.
     """
     validate_family(q, plan)
-    n, b = mseq.n, plan.b
-    if plan.p != mseq.p:
-        raise HopsetError(f"plan modulus p={plan.p} differs from sequence modulus {mseq.p}")
+    symbols = m_sequence(plan.p, taps)
+    n, b = len(symbols), plan.b
     if tau is None:
         tau = default_shift(n, q)
     elif not is_prime(tau):
@@ -151,6 +151,6 @@ def build_base_set(mseq: MSequence, plan: FrequencyPlan, q, tau=None) -> Sequenc
         raise EmptySequenceError(f"tuple width b={b} too large for period n={n}")
     words = np.zeros(n, dtype=np.int64)
     for i in range(b):
-        words += np.roll(mseq.symbols, -i) * plan.p**i
+        words += np.roll(symbols, -i) * plan.p**i
     starts = (np.arange(q)[:, None] * tau + np.arange(n // b) * b) % n
     return SequenceSet(words[starts], plan, BASE)

@@ -78,7 +78,10 @@ def _parse_header(line):
         raise SequenceFormatError(
             "expected header '# M=<M> n=<n> q=<q> kind=<base|balanced>'", line=1
         )
-    M, n, q = integers(",".join(match.group(1, 2, 3)))
+    try:
+        M, n, q = integers(",".join(match.group(1, 2, 3)))
+    except ValueError:  # a field past int()'s digit limit
+        raise SequenceFormatError(f"a header field exceeds the limit {SIZE_LIMIT}", line=1) from None
     try:
         plan = plan_from_spot_count(M)
     except HopsetError as exc:
@@ -111,14 +114,15 @@ def read_sequence_set(path) -> SequenceSet:
                 continue
         column = 1  # a failing row alone is scanned, to name its first bad entry
         for token in row.split(","):
-            try:
-                [value] = integers(token)
-                message = f"spot index {value} outside [0, {M})" if value >= M else None
-            except ValueError:
+            value = token.lstrip("0") or "0"  # compared as text: int() refuses 4300+ digits
+            if not _INTEGERS_RE.fullmatch(token):
                 message = f"not an integer: {token!r}"
-            if message:
-                raise SequenceFormatError(message, line=line_no, column=column)
-            column += len(token) + 1
+            elif len(value) > len(str(M)) or int(value) >= M:
+                message = f"spot index {value} outside [0, {M})"
+            else:
+                column += len(token) + 1
+                continue
+            raise SequenceFormatError(message, line=line_no, column=column)
     try:
         return SequenceSet(matrix, plan, kind)
     except HopsetError as exc:
@@ -191,7 +195,15 @@ def load_scenario(path) -> SimScenario:
     sequence file's header before any row is read.
     """
     path = Path(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    text = path.read_text(encoding="utf-8")
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ScenarioError("scenario JSON nests deeper than the parser's recursion limit") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() refuses a literal past sys.get_int_max_str_digits()
+        raise ScenarioError("scenario JSON holds an integer too long to parse") from None
     if not isinstance(payload, dict):
         raise ScenarioError("scenario JSON must hold an object")
     if unknown := set(payload) - {"hops", "sequences"}:

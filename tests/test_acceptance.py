@@ -18,12 +18,7 @@ from hopset.balancer import cfb_balance, fit_linear, mean_operation_curve
 from hopset.cli import main as cli_main
 from hopset.correlation import analyze_set, correlation_profile, hamming_correlation
 from hopset.errors import FamilySizeError
-from hopset.lfsr import (
-    LfsrConfig,
-    default_polynomial,
-    generate_m_sequence,
-    validate_primitive_polynomial,
-)
+from hopset.lfsr import default_polynomial, m_sequence, validate_primitive_polynomial
 from hopset.mapping import (
     FrequencyPlan,
     build_base_set,
@@ -45,12 +40,6 @@ def naive_hamming(u, v, d):
     return sum(1 for i in range(n) if u[i] == v[(i + d) % n])
 
 
-def make_mseq(l, p=2, taps=None):
-    if taps is None:
-        taps = default_polynomial(p, l)
-    return generate_m_sequence(LfsrConfig(p=p, taps=taps, seed=(1,) + (0,) * (l - 1)))
-
-
 def columns_distinct(sset):
     """True iff no column repeats a spot, i.e. every pair has G_uv(0) = 0."""
     cols = np.sort(sset.as_matrix(), axis=0)
@@ -70,35 +59,31 @@ def histogram_check(base, balanced):
 
 
 @pytest.fixture(scope="module")
-def ms14():
-    return make_mseq(14)
-
-
-@pytest.fixture(scope="module")
 def plan16():
     return FrequencyPlan(p=2, b=4)
 
 
 @pytest.fixture(scope="module")
-def family16(ms14, plan16):
+def family16(plan16):
     """(base, balanced, ledger) for every q in 2..16 at M=16, l=14, plus build time."""
     start = time.perf_counter()
     families = {}
     for q in range(2, 17):
-        base = build_base_set(ms14, plan16, q)
+        base = build_base_set(plan16, default_polynomial(2, 14), q)
         balanced, ledger = cfb_balance(base)
         families[q] = (base, balanced, ledger)
     return families, time.perf_counter() - start
 
 
 def test_criterion_1_scale_reproduction():
+    taps = default_polynomial(2, 14)
     start = time.perf_counter()
-    ms = make_mseq(14)
-    hops = build_base_set(ms, FrequencyPlan(p=2, b=4), 1, 2)
+    hops = build_base_set(FrequencyPlan(p=2, b=4), taps, 1, 2)
     elapsed = time.perf_counter() - start
-    ok = ms.n == 16383 and hops.length == 4095 and hops.plan.M == 16 and elapsed < 1.0
+    n = m_sequence(2, taps).size
+    ok = n == 16383 and hops.length == 4095 and hops.plan.M == 16 and elapsed < 1.0
     report(1, "scale reproduction p=2 l=14 b=4",
-           ok, f"n={ms.n}, n'={hops.length}, M={hops.plan.M}, {elapsed:.3f}s")
+           ok, f"n={n}, n'={hops.length}, M={hops.plan.M}, {elapsed:.3f}s")
 
 
 def test_criterion_2_orthogonality_all_family_sizes(family16):
@@ -151,13 +136,12 @@ TABLE_SLOPES = {
 
 
 def test_criterion_4_fairness_slopes():
-    sequences = {l: make_mseq(l) for l in (14, 15, 18)}
     ok = True
     intercepts = []
     for (l, M), target in TABLE_SLOPES.items():
         b = M.bit_length() - 1
         start = time.perf_counter()
-        curve = mean_operation_curve(sequences[l], FrequencyPlan(p=2, b=b))
+        curve = mean_operation_curve(FrequencyPlan(p=2, b=b), default_polynomial(2, l))
         elapsed = time.perf_counter() - start
         ratio = curve.slope / target
         product = curve.slope * M
@@ -241,9 +225,8 @@ def test_criterion_8_simulator_matches_analysis(family16):
 def test_criterion_9_bruteforce_oracle_equivalence():
     ok = True
     for l, b, q in ((4, 2, 3), (5, 2, 4), (6, 2, 4), (6, 3, 6)):
-        ms = make_mseq(l)
         plan = FrequencyPlan(p=2, b=b)
-        base = build_base_set(ms, plan, q)
+        base = build_base_set(plan, default_polynomial(2, l), q)
         balanced, _ = cfb_balance(base)
         for sset in (base, balanced):
             mat = sset.as_matrix()
@@ -268,12 +251,11 @@ FIRST_PRIMITIVE = {3: (1, 0, 0, 0, 0, 0, 2, 1, 0, 1), 5: (2, 0, 0, 0, 0, 1, 1)}
 
 def test_criterion_10_fairness_law_beyond_gf2():
     ok = all(validate_primitive_polynomial(p, taps) for p, taps in FIRST_PRIMITIVE.items())
-    sequences = {p: make_mseq(len(taps) - 1, p=p, taps=taps) for p, taps in FIRST_PRIMITIVE.items()}
     products = []
     for p, b in ((3, 2), (3, 3), (5, 2)):
         plan = FrequencyPlan(p=p, b=b)
         start = time.perf_counter()
-        curve = mean_operation_curve(sequences[p], plan)
+        curve = mean_operation_curve(plan, FIRST_PRIMITIVE[p])
         elapsed = time.perf_counter() - start
         product = curve.slope * plan.M
         model = occupancy_slope(plan.M)
@@ -284,8 +266,7 @@ def test_criterion_10_fairness_law_beyond_gf2():
               f"h1*M={product:.3f} h2={curve.intercept:+.4f} model={model:.5f} "
               f"[{elapsed:.1f}s]{'' if within else '  <-- out of tolerance'}")
     # criteria 2 and 3 at p=3, l=9, M=q=27, default tau
-    ms = sequences[3]
-    base = build_base_set(ms, FrequencyPlan(p=3, b=3), 27)
+    base = build_base_set(FrequencyPlan(p=3, b=3), FIRST_PRIMITIVE[3], 27)
     balanced, _ = cfb_balance(base)
     within, spreads_kept, deviation = histogram_check(base, balanced)
     ok = ok and columns_distinct(balanced) and within and spreads_kept

@@ -17,15 +17,15 @@ from hopset.mapping import (
     build_base_set,
 )
 
-from conftest import base_families, make_mseq
+from conftest import TAPS6, base_families
 
 
 def spot_histograms(matrix, M):
     return np.array([np.bincount(row, minlength=M) for row in matrix])
 
 
-def test_single_member_passes_through(ms6, plan_b2):
-    base = build_base_set(ms6, plan_b2, 1, 5)
+def test_single_member_passes_through(plan_b2):
+    base = build_base_set(plan_b2, TAPS6, 1, 5)
     balanced, ledger = cfb_balance(base)
     assert np.array_equal(balanced.as_matrix(), base.as_matrix())
     assert ledger.op_count.tolist() == [0]
@@ -52,17 +52,15 @@ def test_hand_traced_most_operated_keeps(plan_b2):
 
 @pytest.mark.parametrize("l,b,q", [(6, 2, 2), (6, 2, 4), (6, 3, 5), (6, 3, 8), (8, 4, 16)])
 def test_columns_become_pairwise_distinct(l, b, q):
-    ms = make_mseq(l)
-    plan = FrequencyPlan(p=2, b=b)
-    base = build_base_set(ms, plan, q, 7)
+    base = build_base_set(FrequencyPlan(p=2, b=b), default_polynomial(2, l), q, 7)
     balanced, _ = cfb_balance(base)
     mat = balanced.as_matrix()
     for i in range(mat.shape[1]):
         assert len(set(mat[:, i])) == q
 
 
-def test_only_colliding_entries_change(ms6, plan_b2):
-    base = build_base_set(ms6, plan_b2, 4, 7)
+def test_only_colliding_entries_change(plan_b2):
+    base = build_base_set(plan_b2, TAPS6, 4, 7)
     balanced, ledger = cfb_balance(base)
     before, after = base.as_matrix(), balanced.as_matrix()
     changed = before != after
@@ -143,32 +141,31 @@ def test_tie_breaks_match_the_reference_over_gf_p(family):
 
 @pytest.mark.parametrize("l,M,q", [(10, 16, 16), (12, 64, 40)])
 def test_tie_breaks_match_the_reference(l, M, q):
-    ms = make_mseq(l)
     plan = FrequencyPlan(p=2, b=M.bit_length() - 1)
-    assert_matches_reference(build_base_set(ms, plan, q))
+    assert_matches_reference(build_base_set(plan, default_polynomial(2, l), q))
 
 
-def test_broken_usage_identity_is_a_math_error(ms6, plan_b2, monkeypatch):
+def test_broken_usage_identity_is_a_math_error(plan_b2, monkeypatch):
     # usage counts that start one off no longer equal the balanced set's spot counts
     monkeypatch.setattr(balancer, "frequency_histogram",
                         lambda sset: frequency_histogram(sset) + (sset.kind == BASE))
-    base = build_base_set(ms6, plan_b2, 4, 7)
+    base = build_base_set(plan_b2, TAPS6, 4, 7)
     with pytest.raises(HopsetError, match="usage"):
         cfb_balance(base)
 
 
-def test_broken_total_identity_is_a_math_error(ms6, plan_b2, monkeypatch):
+def test_broken_total_identity_is_a_math_error(plan_b2, monkeypatch):
     # a sort of the base columns that sees member 0 twice counts L more
     # repeated spots than the balancer moved
     sort = lambda m, axis: np.sort(np.vstack([m, m[:1]]), axis=axis)
     monkeypatch.setattr(balancer, "np", SimpleNamespace(**{**vars(np), "sort": sort}))
-    base = build_base_set(ms6, plan_b2, 4, 7)
+    base = build_base_set(plan_b2, TAPS6, 4, 7)
     with pytest.raises(HopsetError, match="total op_count"):
         cfb_balance(base)
 
 
-def test_usage_tracks_balanced_histograms(ms6, plan_b3):
-    base = build_base_set(ms6, plan_b3, 6, 3)
+def test_usage_tracks_balanced_histograms(plan_b3):
+    base = build_base_set(plan_b3, TAPS6, 6, 3)
     balanced, ledger = cfb_balance(base)
     hist = spot_histograms(balanced.as_matrix(), 8)
     assert np.array_equal(ledger.usage, hist)
@@ -180,9 +177,8 @@ def test_usage_tracks_balanced_histograms(ms6, plan_b3):
 # At the scales the toolkit targets the property holds, q = M included.
 @pytest.mark.parametrize("l,b,q", [(6, 2, 3), (6, 2, 4), (10, 2, 4), (12, 2, 4), (8, 4, 9), (10, 4, 16)])
 def test_spread_does_not_degrade(l, b, q):
-    ms = make_mseq(l)
     plan = FrequencyPlan(p=2, b=b)
-    base = build_base_set(ms, plan, q, 11)
+    base = build_base_set(plan, default_polynomial(2, l), q, 11)
     balanced, _ = cfb_balance(base)
     before = spot_histograms(base.as_matrix(), plan.M)
     after = spot_histograms(balanced.as_matrix(), plan.M)
@@ -192,8 +188,8 @@ def test_spread_does_not_degrade(l, b, q):
         assert spread_after <= spread_before + 1
 
 
-def test_balancing_is_deterministic(ms6, plan_b2):
-    base = build_base_set(ms6, plan_b2, 4, 7)
+def test_balancing_is_deterministic(plan_b2):
+    base = build_base_set(plan_b2, TAPS6, 4, 7)
     first, led1 = cfb_balance(base)
     second, led2 = cfb_balance(base)
     assert np.array_equal(first.as_matrix(), second.as_matrix())
@@ -242,8 +238,8 @@ def test_fit_degenerate_inputs():
 
 # --- family-size sweep ----------------------------------------------------
 
-def test_mean_operation_curve_small(ms6, plan_b2):
-    report = mean_operation_curve(ms6, plan_b2, tau=7)
+def test_mean_operation_curve_small(plan_b2):
+    report = mean_operation_curve(plan_b2, TAPS6, tau=7)
     assert report.q_values.tolist() == [1, 2, 3, 4]
     assert report.mean_ops[0] == 0.0
     assert report.normalized.max() == 1.0
@@ -255,15 +251,14 @@ def test_mean_operation_curve_balances_prefixes_of_one_base_set():
     # the balancer is the oracle: over GF(2), GF(3) and GF(5), every prefix's
     # balanced operations over q equal the counted mean to the last bit
     for p, taps, b in ((2, default_polynomial(2, 6), 2), (3, (1, 2, 0, 1), 2), (5, (2, 3, 0, 1), 2)):
-        ms = make_mseq(len(taps) - 1, p=p, taps=taps)
         plan = FrequencyPlan(p=p, b=b)
-        report = mean_operation_curve(ms, plan, tau=7)
+        report = mean_operation_curve(plan, taps, tau=7)
         for q in report.q_values.tolist():
-            _, ledger = cfb_balance(build_base_set(ms, plan, q, 7))
+            _, ledger = cfb_balance(build_base_set(plan, taps, q, 7))
             assert report.mean_ops[q - 1] == ledger.op_count.sum() / q
 
 
-def test_mean_operation_curve_default_tau(ms6, plan_b2):
-    with_default = mean_operation_curve(ms6, plan_b2)
-    explicit = mean_operation_curve(ms6, plan_b2, tau=17)  # 63 // 4 = 15 -> 17
+def test_mean_operation_curve_default_tau(plan_b2):
+    with_default = mean_operation_curve(plan_b2, TAPS6)
+    explicit = mean_operation_curve(plan_b2, TAPS6, tau=17)  # 63 // 4 = 15 -> 17
     assert np.array_equal(with_default.mean_ops, explicit.mean_ops)

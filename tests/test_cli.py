@@ -16,6 +16,8 @@ from hopset.cli import _resolve_config, build_parser, main
 from hopset.errors import ConfigError
 from hopset.mapping import SIZE_LIMIT, FrequencyPlan
 
+from conftest import TAPS6
+
 SMALL = ["--l", "6", "--M", "4", "--q", "3"]
 PRIME_30_DIGITS = str(10**29 + 319)
 # Integers in outside text are runs of ASCII digits joined by commas. These
@@ -160,6 +162,9 @@ def test_integer_flag_grammar(tmp_path, capsys, flag, value):
     *[(f"0,{value},1", f"not an integer: {value!r}", 3) for value in SPELLINGS[:-1]],
     ("0,1,", "not an integer: ''", 5),
     (f"0,{SPELLINGS[-1]},1", f"spot index {SPELLINGS[-1]} outside [0, 4)", 3),
+    # past int()'s 4300-digit limit, still an integer of the grammar
+    pytest.param(f"0,{'1' * 5000},1", f"spot index {'1' * 5000} outside [0, 4)", 3,
+                 id="5000-digit-entry"),
 ])
 def test_sequence_row_grammar(tmp_path, capsys, row, message, column):
     bad = tmp_path / "bad.txt"
@@ -269,6 +274,7 @@ def test_analyze_mislabelled_balanced_file_is_parse_error(tmp_path, capsys):
     f"# M={2**40} n=2 q=1 kind=base",
     f"# M=4 n={SIZE_LIMIT + 1} q=1 kind=base",
     f"# M=4 n={SIZE_LIMIT // 2 + 1} q=2 kind=base",
+    pytest.param(f"# M={'1' * 5000} n=3 q=1 kind=base", id="5000-digit-M"),
 ])
 def test_analyze_oversized_header_is_parse_error(tmp_path, capsys, header):
     bad = tmp_path / "bad.txt"
@@ -321,12 +327,12 @@ def test_fairness_outputs(tmp_path, capsys):
     assert "h1 = " in out
 
 
-def test_fairness_json_matches_csv(tmp_path, capsys, ms6, plan_b2):
+def test_fairness_json_matches_csv(tmp_path, capsys, plan_b2):
     # fairness.csv parses back to the report the sweep computes (l=6, M=4): no digit is lost
     code, out, err = run(capsys, "fairness", "--l", "6", "--M", "4", "--out", str(tmp_path))
     assert code == 0, err
     assert out.splitlines()[0] == str(tmp_path / "fairness.csv")
-    report = mean_operation_curve(ms6, plan_b2)
+    report = mean_operation_curve(plan_b2, TAPS6)
     lines = (tmp_path / "fairness.csv").read_text().splitlines()
     rows = [line.split(",") for line in lines[1:-2]]
     assert [int(q) for q, _, _ in rows] == report.q_values.tolist() == [1, 2, 3, 4]
@@ -395,13 +401,18 @@ def test_simulate_malformed_scenario(tmp_path, capsys):
     # the horizon is refused from the header, before the corrupt row is read
     {"hops": 0, "sequences": "corrupt.txt"},
     {"hops": 10**23, "sequences": "corrupt.txt"},
+    # scenario text that json.loads refuses with RecursionError or int()'s ValueError
+    pytest.param("[" * 200000, id="nested-past-recursion-limit"),
+    pytest.param('{"sequences": "balanced.txt", "hops": ' + "1" * 5000 + "}", id="5000-digit-hops"),
 ])
 def test_simulate_bad_scenario_is_parse_error(tmp_path, capsys, fields):
     run(capsys, "generate", *SMALL, "--out", str(tmp_path))
     header, first, *rest = (tmp_path / "balanced.txt").read_text().splitlines()
     (tmp_path / "corrupt.txt").write_text("\n".join([header, "x" + first, *rest]) + "\n")
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({"sequences": "balanced.txt", **fields}))
+    if isinstance(fields, dict):
+        fields = json.dumps({"sequences": "balanced.txt", **fields})
+    scenario.write_text(fields)
     code, out, err = run(capsys, "simulate", str(scenario))
     assert code == 4 and out == ""
     assert len(err.splitlines()) == 1

@@ -16,9 +16,10 @@ from hopset.correlation import (
     zero_delay_hits,
 )
 from hopset.errors import HopsetError
+from hopset.lfsr import default_polynomial
 from hopset.mapping import BASE, FrequencyPlan, SequenceSet, build_base_set, default_shift
 
-from conftest import make_mseq
+from conftest import TAPS6, make_mseq
 
 
 # --- independent oracle ---------------------------------------------------
@@ -39,8 +40,8 @@ def naive_zero_delay_hits(mat):
 
 
 @pytest.fixture(scope="module")
-def small_sets(ms6, plan_b2):
-    base = build_base_set(ms6, plan_b2, 4, 7)
+def small_sets(plan_b2):
+    base = build_base_set(plan_b2, TAPS6, 4, 7)
     balanced, _ = cfb_balance(base)
     return base, balanced
 
@@ -52,8 +53,8 @@ def test_hand_counted_zero_delay(plan_b2):
     assert hamming_correlation(sset, 0, 1, 0) == 1
 
 
-def test_auto_peak_equals_length(ms6, plan_b2):
-    sset = build_base_set(ms6, plan_b2, 1, 5)
+def test_auto_peak_equals_length(plan_b2):
+    sset = build_base_set(plan_b2, TAPS6, 1, 5)
     assert hamming_correlation(sset, 0, 0, 0) == 31
 
 
@@ -173,8 +174,8 @@ def test_base_set_has_violations(small_sets):
     assert hits.tolist() == naive_zero_delay_hits(base.as_matrix().tolist())
 
 
-def test_single_member_vacuously_orthogonal(ms6, plan_b2):
-    sset = build_base_set(ms6, plan_b2, 1, 5)
+def test_single_member_vacuously_orthogonal(plan_b2):
+    sset = build_base_set(plan_b2, TAPS6, 1, 5)
     assert zero_delay_hits(sset.as_matrix()).tolist() == [[0]]
     assert analyze_set(sset).orthogonal_at_zero
 
@@ -209,8 +210,8 @@ def test_histogram_counts(plan_b2):
     assert (hist.sum(axis=1) == sset.length).all()
 
 
-def test_no_hit_zone_single_member(ms6, plan_b2):
-    sset = build_base_set(ms6, plan_b2, 1, 5)
+def test_no_hit_zone_single_member(plan_b2):
+    sset = build_base_set(plan_b2, TAPS6, 1, 5)
     assert analyze_set(sset).no_hit_zone == 30
 
 
@@ -327,7 +328,7 @@ def test_window_sequence_autocorrelation_is_closed_form(p, l, b, taps):
     For d != 0, s(t) - s(t+d) is another shift of s, so W(t) = W(t+d) exactly
     where that shift starts b zeros: p^(l-b) - 1 times per period.
     """
-    s = make_mseq(l, p=p, taps=taps).symbols.astype(np.int64)
+    s = make_mseq(l, p=p, taps=taps)
     n = p**l - 1
     wrapped = np.concatenate([s, s[:b]])
     words = sum(wrapped[i:i + n] * p**i for i in range(b))
@@ -351,5 +352,5 @@ def test_base_peak_is_at_least_the_shift_closed_form(l, b, q):
     L, tau, inverse = n // b, default_shift(n, q), pow(b, -1, n)
     shifts = (delta * tau * inverse % n for delta in range(1, q))
     prediction = max(L - min(r, n - r) for r in shifts)
-    base = build_base_set(make_mseq(l), FrequencyPlan(p=2, b=b), q)
+    base = build_base_set(FrequencyPlan(p=2, b=b), default_polynomial(2, l), q)
     assert prediction <= analyze_set(base).max_hamming <= prediction + 0.02 * L

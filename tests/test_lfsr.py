@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopset.errors import DegenerateSeedError, InvalidPolynomialError, UnsupportedDegreeError
+from hopset.errors import InvalidPolynomialError, UnsupportedDegreeError
 from hopset.lfsr import (
     _GF2_PRIMITIVE_EXPONENTS,
-    LfsrConfig,
     _x_power,
     default_polynomial,
-    generate_m_sequence,
     is_prime,
+    m_sequence,
     prime_factors,
     validate_primitive_polynomial,
 )
@@ -58,14 +57,13 @@ def order_of_x(p, taps):
     return next((k for k, cur in powers if k and cur == one), None)
 
 
-def reference_m_sequence(cfg):
-    """The recurrence one symbol at a time: the oracle for the block generator."""
-    p = cfg.p
-    l = cfg.l
-    inv_lead = pow(cfg.taps[-1], -1, p)
-    terms = [(i - l, c) for i, c in enumerate(cfg.taps[:-1]) if c]
-    out = list(cfg.seed)
-    for t in range(l, cfg.period):
+def reference_m_sequence(p, taps, start=None):
+    """The recurrence one symbol at a time from `start` (default (1, 0, ..., 0)): the oracle for the block generator."""
+    l = len(taps) - 1
+    inv_lead = pow(taps[-1], -1, p)
+    terms = [(i - l, c) for i, c in enumerate(taps[:-1]) if c]
+    out = [1] + [0] * (l - 1) if start is None else list(start)
+    for t in range(l, p**l - 1):
         acc = 0
         for off, c in terms:
             acc += c * out[t + off]
@@ -189,37 +187,36 @@ def test_default_polynomial_unknown_entries(p, l):
 # --- sequence generation --------------------------------------------------
 
 def test_hand_iterated_period7_sequence(ms3):
-    assert ms3.symbols.tolist() == [1, 0, 0, 1, 0, 1, 1]
-    assert ms3.n == 7
+    assert ms3.tolist() == [1, 0, 0, 1, 0, 1, 1]
 
 
 @pytest.mark.parametrize("p,taps", [(2, default_polynomial(2, l)) for l in range(3, 19)]
-                         + [(5, (3, 1))])
+                         + [(5, (3, 1))] + [(p, taps) for p, taps in PRIMITIVE if p > 2])
 def test_generator_matches_reference(p, taps):
-    # the table entries, and l=1, where x mod f is the constant -c_0/c_1
-    cfg = LfsrConfig(p=p, taps=taps, seed=(1,) + (0,) * (len(taps) - 2))
-    assert generate_m_sequence(cfg).symbols.tolist() == reference_m_sequence(cfg)
+    # the table entries, l=1, where x mod f is the constant -c_0/c_1, and GF(3), GF(5)
+    assert m_sequence(p, taps).tolist() == reference_m_sequence(p, taps)
 
 
 @pytest.mark.parametrize("p,taps", PRIMITIVE)
 @settings(derandomize=True, deadline=None, max_examples=20)
 @given(data=st.data())
 def test_generator_matches_reference_over_seeds(p, taps, data):
+    # every nonzero state lies on the one cycle: the recurrence from a drawn
+    # state is the generator's output rotated to where that state occurs
     l = len(taps) - 1
     seed = data.draw(st.lists(st.integers(0, p - 1), min_size=l, max_size=l).filter(any))
-    cfg = LfsrConfig(p=p, taps=taps, seed=tuple(seed))
-    assert generate_m_sequence(cfg).symbols.tolist() == reference_m_sequence(cfg)
+    ms = m_sequence(p, taps)
+    n = ms.size
+    k = next(i for i in range(n) if all(ms[(i + j) % n] == seed[j] for j in range(l)))
+    assert np.roll(ms, -k).tolist() == reference_m_sequence(p, taps, start=seed)
 
 
 def test_generation_is_deterministic():
-    a = make_mseq(6)
-    b = make_mseq(6)
-    assert np.array_equal(a.symbols, b.symbols)
+    assert np.array_equal(make_mseq(6), make_mseq(6))
 
 
 def test_degree14_default_period():
-    ms = make_mseq(14)
-    assert ms.n == 16383
+    assert make_mseq(14).size == 16383
 
 
 @pytest.mark.parametrize("p,l,taps", [
@@ -229,47 +226,37 @@ def test_degree14_default_period():
 def test_symbol_balance(p, l, taps):
     # zeros appear p^(l-1)-1 times, every nonzero symbol p^(l-1) times
     ms = make_mseq(l, p=p, taps=taps)
-    counts = np.bincount(ms.symbols, minlength=p)
+    counts = np.bincount(ms, minlength=p)
     assert counts[0] == p ** (l - 1) - 1
     assert all(c == p ** (l - 1) for c in counts[1:])
 
 
 @pytest.mark.parametrize("p,l,taps", [(2, 5, None), (2, 6, None), (3, 2, (2, 1, 1))])
 def test_every_nonzero_window_occurs_once(p, l, taps):
-    ms = make_mseq(l, p=p, taps=taps)
-    sym = ms.symbols.tolist()
+    sym = make_mseq(l, p=p, taps=taps).tolist()
+    n = len(sym)
     windows = set()
-    for i in range(ms.n):
-        windows.add(tuple(sym[(i + j) % ms.n] for j in range(l)))
-    assert len(windows) == ms.n
+    for i in range(n):
+        windows.add(tuple(sym[(i + j) % n] for j in range(l)))
+    assert len(windows) == n
     assert tuple([0] * l) not in windows
 
 
 def test_period_is_exact():
     ms = make_mseq(5)
-    doubled = np.concatenate([ms.symbols, ms.symbols])
-    for shift in range(1, ms.n):
-        assert not np.array_equal(ms.symbols, doubled[shift:shift + ms.n])
-
-
-def test_all_zero_seed_rejected():
-    with pytest.raises(DegenerateSeedError):
-        LfsrConfig(p=2, taps=(1, 1, 0, 1), seed=(0, 0, 0))
-
-
-def test_seed_length_and_range_checked():
-    with pytest.raises(DegenerateSeedError):
-        LfsrConfig(p=2, taps=(1, 1, 0, 1), seed=(1, 0))
-    with pytest.raises(DegenerateSeedError):
-        LfsrConfig(p=2, taps=(1, 1, 0, 1), seed=(1, 0, 2))
+    doubled = np.concatenate([ms, ms])
+    for shift in range(1, ms.size):
+        assert not np.array_equal(ms, doubled[shift:shift + ms.size])
 
 
 def test_non_primitive_taps_rejected_at_config():
-    with pytest.raises(InvalidPolynomialError):
-        LfsrConfig(p=2, taps=(1, 1, 1, 1), seed=(1, 0, 0))
+    # a list of taps is named as a tuple, as `--poly` errors always were
+    with pytest.raises(InvalidPolynomialError,
+                       match=r"^taps \(1, 1, 1, 1\) are not primitive over GF\(2\)$"):
+        m_sequence(2, [1, 1, 1, 1])
 
 
 def test_generated_symbols_are_read_only():
     ms = make_mseq(4)
     with pytest.raises(ValueError):
-        ms.symbols[0] = 1
+        ms[0] = 1

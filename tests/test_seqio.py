@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import base_families
+from conftest import TAPS6, base_families
 from hopset import seqio
 from hopset.balancer import cfb_balance, mean_operation_curve
 from hopset.correlation import analyze_set, correlation_profile
@@ -18,8 +18,8 @@ from hopset.sim import simulate
 
 
 @pytest.fixture(scope="module")
-def family(ms6, plan_b2):
-    base = build_base_set(ms6, plan_b2, 4, 7)
+def family(plan_b2):
+    base = build_base_set(plan_b2, TAPS6, 4, 7)
     balanced, ledger = cfb_balance(base)
     return base, balanced, ledger
 
@@ -197,8 +197,8 @@ def test_usage_csv_matches_matrix(tmp_path, family):
     assert np.array_equal(np.array(rows), ledger.usage)
 
 
-def test_fairness_csv_rows_and_fit(tmp_path, ms6, plan_b2):
-    report = mean_operation_curve(ms6, plan_b2, tau=7)
+def test_fairness_csv_rows_and_fit(tmp_path, plan_b2):
+    report = mean_operation_curve(plan_b2, TAPS6, tau=7)
     path = tmp_path / "fairness.csv"
     seqio.write_fairness_csv(path, report)
     lines = path.read_text().splitlines()

@@ -8,12 +8,12 @@ from hopset.errors import ScenarioError
 from hopset.mapping import BASE, FrequencyPlan, SequenceSet, build_base_set
 from hopset.sim import SimScenario, simulate
 
-from conftest import base_families
+from conftest import TAPS6, base_families
 
 
 @pytest.fixture(scope="module")
-def family(ms6, plan_b2):
-    base = build_base_set(ms6, plan_b2, 4, 7)
+def family(plan_b2):
+    base = build_base_set(plan_b2, TAPS6, 4, 7)
     balanced, _ = cfb_balance(base)
     return base, balanced
 
@@ -26,8 +26,8 @@ def test_balanced_set_never_collides(family):
     assert not report.per_pair.any()
 
 
-def test_single_user_never_collides(ms6, plan_b2):
-    sset = build_base_set(ms6, plan_b2, 1, 5)
+def test_single_user_never_collides(plan_b2):
+    sset = build_base_set(plan_b2, TAPS6, 1, 5)
     report = simulate(SimScenario(sset=sset, hops=50))
     assert report.total_collisions == 0
     assert report.collision_rate == 0.0
