@@ -33,6 +33,7 @@ from .mapping import (
     FrequencyPlan,
     SequenceSet,
     build_base_set,
+    check_family,
     default_shift,
     validate_family,
 )

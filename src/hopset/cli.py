@@ -21,8 +21,8 @@ from pathlib import Path
 from .balancer import cfb_balance, mean_operation_curve
 from .correlation import analyze_set
 from .errors import ConfigError, HopsetError, SequenceFormatError
-from .lfsr import default_polynomial, is_prime
-from .mapping import SIZE_LIMIT, FrequencyPlan, build_base_set, plan_from_spot_count, validate_family
+from .lfsr import default_polynomial
+from .mapping import FrequencyPlan, build_base_set, check_family, plan_from_spot_count
 from . import seqio
 from .sim import simulate
 
@@ -34,41 +34,24 @@ def integer(value):
 
 
 def _resolve_config(args) -> FrequencyPlan:
-    """Check each flag once, in a fixed order, before any work; return the plan.
+    """Check the flags before any work; return the plan.
 
     M alone names the plan: plan_from_spot_count splits it into the prime p
-    and the word width b. fairness, which has no --q, is checked as its
-    largest family, q = M. M, the period n = p^l - 1 and the set size are
-    refused above SIZE_LIMIT before any of them is factored or allocated.
+    and the word width b. mapping.check_family holds every rule on l, q and
+    tau, the ones build_base_set applies too; fairness, which has no --q, is
+    checked as its largest family, q = M. Only --poly is checked here: its
+    coefficients against p and its degree against --l.
     """
     try:
         plan = plan_from_spot_count(args.M)
-        q = getattr(args, "q", plan.M)
-        validate_family(q, plan)
+        check_family(plan, args.l, getattr(args, "q", plan.M), args.tau)
     except HopsetError as exc:
         raise ConfigError(str(exc)) from None
-    l = args.l
-    if not 1 <= l < SIZE_LIMIT.bit_length() or plan.p**l > SIZE_LIMIT:
-        raise ConfigError(f"l={l} must be at least 1 with p^l={plan.p}^{l} "
-                          f"at most the limit {SIZE_LIMIT}")
-    n = plan.p**l - 1
-    if n < 3 or plan.b >= n:  # no prime shift below n, or no whole word of b symbols
-        raise ConfigError(f"period n={n} must be at least 3 and above the word width b={plan.b}")
-
-    entries = q * (n // plan.b)
-    if entries > SIZE_LIMIT:
-        raise ConfigError(f"largest set holds {entries} entries, above the limit {SIZE_LIMIT}")
-
-    if (tau := args.tau) is not None:
-        if tau >= n:
-            raise ConfigError(f"tau={tau} must be below the period n={n}")
-        if not is_prime(tau):
-            raise ConfigError(f"tau={tau} must be prime")
     if (poly := args.poly) is not None:
         if any(c >= plan.p for c in poly):
             raise ConfigError(f"polynomial coefficients must lie in [0, {plan.p})")
-        if len(poly) != l + 1:
-            raise ConfigError(f"polynomial has degree {len(poly) - 1}, expected l={l}")
+        if len(poly) != args.l + 1:
+            raise ConfigError(f"polynomial has degree {len(poly) - 1}, expected l={args.l}")
     return plan
 
 

@@ -14,7 +14,7 @@ class UnsupportedDegreeError(HopsetError):
 
 
 class EmptySequenceError(HopsetError):
-    """Tuple width is too large for the source sequence (no full word fits)."""
+    """The period holds no whole word of b symbols, or is below 3 (no prime shift)."""
 
 
 class FamilySizeError(HopsetError):

@@ -65,7 +65,7 @@ def prime_factors(k):
 
 
 def is_prime(k):
-    """True iff k is prime; callers bound k (at most 2^24 from outside) before asking."""
+    """True iff k is prime, by trial division; FrequencyPlan bounds p, check_family n and tau."""
     return prime_factors(k) == [k]
 
 

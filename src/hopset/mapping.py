@@ -20,9 +20,9 @@ from .lfsr import is_prime, m_sequence, prime_factors
 BASE = "base"
 BALANCED = "balanced"
 
-# Largest p, period n, spot count M and set size q*L taken from a command
-# line or a file header: trial division stays fast and no array is sized
-# from an unchecked number.
+# Largest p, p^l, spot count M and set size q*L a plan, family or file header
+# may have: trial division stays fast and no array is sized from an
+# unchecked number.
 SIZE_LIMIT = 2**24
 
 
@@ -34,10 +34,12 @@ class FrequencyPlan:
     b: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise HopsetError(f"plan modulus p={self.p} is not prime")
         if self.b < 1:
             raise HopsetError(f"tuple width b={self.b} must be positive")
+        if self.b >= SIZE_LIMIT.bit_length() or self.M > SIZE_LIMIT:  # before p is factored
+            raise HopsetError(f"spot count M={self.p}^{self.b} exceeds the limit {SIZE_LIMIT}")
+        if not is_prime(self.p):
+            raise HopsetError(f"plan modulus p={self.p} is not prime")
 
     @property
     def M(self):
@@ -129,28 +131,43 @@ def default_shift(n, q):
     return tau
 
 
+def check_family(plan: FrequencyPlan, l, q, tau=None):
+    """Refuse a bad family before any work; return the period n = p^l - 1 and tau.
+
+    Each rule runs before the next one's cost: tau is compared with n before
+    it is factored. tau=None takes default_shift(n, q).
+    """
+    validate_family(q, plan)
+    if not 1 <= l < SIZE_LIMIT.bit_length() or plan.p**l > SIZE_LIMIT:
+        raise HopsetError(f"l={l} must be at least 1 with p^l={plan.p}^{l} "
+                          f"at most the limit {SIZE_LIMIT}")
+    n = plan.p**l - 1
+    if n < 3 or plan.b >= n:
+        raise EmptySequenceError(f"period n={n} must be at least 3 and above the word width b={plan.b}")
+    if (entries := q * (n // plan.b)) > SIZE_LIMIT:
+        raise HopsetError(f"largest set holds {entries} entries, above the limit {SIZE_LIMIT}")
+    if tau is None:
+        return n, default_shift(n, q)
+    if tau >= n:
+        raise HopsetError(f"tau={tau} must be below the period n={n}")
+    if not is_prime(tau):
+        raise HopsetError(f"tau={tau} must be prime")
+    return n, tau
+
+
 def build_base_set(plan: FrequencyPlan, taps, q, tau=None) -> SequenceSet:
     """Construct the (generally non-orthogonal) base set of q members rotated by tau.
 
-    s is m_sequence(plan.p, taps), so the taps are read over the plan's
-    modulus. The family is checked here; tau=None takes default_shift(n, q).
+    check_family (l = len(taps) - 1) refuses a bad family before s =
+    m_sequence(plan.p, taps), read over the plan's modulus, is built.
     hop_a(j) = sum_i s((a*tau + j*b + i) mod n) * p^i: the word starting at
     symbol k is W(k) = sum_i s((k + i) mod n) * p^i, so member a reads W at
     the starts a*tau + j*b; trailing n mod b symbols of each rotation go unused.
     """
-    validate_family(q, plan)
+    n, tau = check_family(plan, len(taps) - 1, q, tau)
     symbols = m_sequence(plan.p, taps)
-    n, b = len(symbols), plan.b
-    if tau is None:
-        tau = default_shift(n, q)
-    elif not is_prime(tau):
-        raise HopsetError(f"shift tau={tau} must be prime")
-    if tau >= n:
-        raise HopsetError(f"shift tau={tau} must be smaller than period n={n}")
-    if b >= n:
-        raise EmptySequenceError(f"tuple width b={b} too large for period n={n}")
     words = np.zeros(n, dtype=np.int64)
-    for i in range(b):
+    for i in range(plan.b):
         words += np.roll(symbols, -i) * plan.p**i
-    starts = (np.arange(q)[:, None] * tau + np.arange(n // b) * b) % n
+    starts = (np.arange(q)[:, None] * tau + np.arange(n // plan.b) * plan.b) % n
     return SequenceSet(words[starts], plan, BASE)

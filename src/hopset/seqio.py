@@ -91,6 +91,11 @@ def _parse_header(line):
     return plan, n, q, match[4]
 
 
+def _echo(entry, unit, show=str):
+    """show(entry) up to 40 characters; past that show(first 20), '…' and the length."""
+    return show(entry) if len(entry) <= 40 else f"{show(entry[:20])}… ({len(entry)} {unit})"
+
+
 def read_sequence_set(path) -> SequenceSet:
     """Parse a sequence-set file; raises SequenceFormatError naming line/column."""
     lines = Path(path).read_text(encoding="utf-8").splitlines() or [""]
@@ -116,9 +121,9 @@ def read_sequence_set(path) -> SequenceSet:
         for token in row.split(","):
             value = token.lstrip("0") or "0"  # compared as text: int() refuses 4300+ digits
             if not _INTEGERS_RE.fullmatch(token):
-                message = f"not an integer: {token!r}"
+                message = f"not an integer: {_echo(token, 'characters', repr)}"
             elif len(value) > len(str(M)) or int(value) >= M:
-                message = f"spot index {value} outside [0, {M})"
+                message = f"spot index {_echo(value, 'digits')} outside [0, {M})"
             else:
                 column += len(token) + 1
                 continue

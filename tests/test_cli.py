@@ -162,15 +162,19 @@ def test_integer_flag_grammar(tmp_path, capsys, flag, value):
     *[(f"0,{value},1", f"not an integer: {value!r}", 3) for value in SPELLINGS[:-1]],
     ("0,1,", "not an integer: ''", 5),
     (f"0,{SPELLINGS[-1]},1", f"spot index {SPELLINGS[-1]} outside [0, 4)", 3),
-    # past int()'s 4300-digit limit, still an integer of the grammar
-    pytest.param(f"0,{'1' * 5000},1", f"spot index {'1' * 5000} outside [0, 4)", 3,
+    # past int()'s 4300-digit limit, still an integer of the grammar; an entry
+    # past 40 characters is echoed as its first 20 and its length
+    pytest.param(f"0,{'1' * 5000},1", f"spot index {'1' * 20}… (5000 digits) outside [0, 4)", 3,
                  id="5000-digit-entry"),
+    pytest.param(f"0,{'x' * 5000},1", f"not an integer: {'x' * 20!r}… (5000 characters)", 3,
+                 id="5000-character-token"),
 ])
 def test_sequence_row_grammar(tmp_path, capsys, row, message, column):
     bad = tmp_path / "bad.txt"
     bad.write_text(f"# M=4 n=3 q=2 kind=base\n0,1,2\n{row}\n")
     code, out, err = run(capsys, "analyze", str(bad), "--out", str(tmp_path / "out"))
     assert code == 4 and out == "" and len(err.splitlines()) == 1
+    assert len(err.encode()) < 200
     assert json.loads(err)["message"] == f"{message} (line 3, column {column})"
 
 

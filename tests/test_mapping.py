@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from hopset import mapping
+from hopset.balancer import mean_operation_curve
 from hopset.correlation import analyze_set, correlation_profile, frequency_histogram
 from hopset.errors import EmptySequenceError, FamilySizeError, HopsetError, InvalidPolynomialError
 from hopset.lfsr import default_polynomial, is_prime, m_sequence
 from hopset.mapping import (
     BALANCED,
     BASE,
+    SIZE_LIMIT,
     FrequencyPlan,
     SequenceSet,
     build_base_set,
+    check_family,
     collided_columns,
     default_shift,
     validate_family,
@@ -154,6 +158,53 @@ def test_base_set_members_differ(plan_b2):
 def test_base_set_size_violation(plan_b2):
     with pytest.raises(FamilySizeError):
         build_base_set(plan_b2, TAPS6, 5, 7)
+
+
+# --- family checks ----------------------------------------------------------
+
+PRIME_30_DIGITS = 10**29 + 319
+TAPS22 = (1,) + (0,) * 21 + (1,)  # degree 22, never read: the set size is refused first
+
+
+def test_check_family_returns_period_and_shift():
+    plan = FrequencyPlan(p=2, b=4)
+    assert check_family(plan, 8, 4) == (255, default_shift(255, 4))
+    assert check_family(plan, 8, 4, 7) == (255, 7)
+
+
+@pytest.mark.parametrize("plan, taps, q, tau, error, message", [
+    (FrequencyPlan(p=2, b=4), default_polynomial(2, 8), 16, PRIME_30_DIGITS, HopsetError,
+     "below the period n=255"),
+    (FrequencyPlan(p=2, b=4), default_polynomial(2, 8), 16, 4, HopsetError, "tau=4 must be prime"),
+    (FrequencyPlan(p=2, b=7), TAPS3, 128, None, EmptySequenceError, "above the word width b=7"),
+    (FrequencyPlan(p=2, b=4), default_polynomial(2, 8), 17, None, FamilySizeError, "q=17"),
+    (FrequencyPlan(p=2, b=6), TAPS22, 64, None, HopsetError, "44739200 entries, above the limit"),
+], ids=["tau-30-digits", "tau-not-prime", "width-at-least-period", "q-above-M", "set-size"])
+def test_family_refused_before_any_work(monkeypatch, plan, taps, q, tau, error, message):
+    def no_work(*args):
+        raise AssertionError("m_sequence ran before the family was checked")
+
+    asked = []
+    monkeypatch.setattr(mapping, "m_sequence", no_work)
+    monkeypatch.setattr(mapping, "is_prime", lambda k: asked.append(k) or is_prime(k))
+    with pytest.raises(error, match=message):
+        build_base_set(plan, taps, q, tau)
+    if q == plan.M:  # the fairness sweep builds the full family, q = M
+        with pytest.raises(error, match=message):
+            mean_operation_curve(plan, taps, tau)
+    n = plan.p ** (len(taps) - 1) - 1
+    assert all(k < n for k in asked)
+
+
+def test_plan_bounds_its_spot_count_before_factoring(monkeypatch):
+    def bounded_is_prime(k):
+        assert k <= SIZE_LIMIT, f"is_prime asked about {k}"
+        return is_prime(k)
+
+    monkeypatch.setattr(mapping, "is_prime", bounded_is_prime)
+    for p, b in ((PRIME_30_DIGITS, 1), (2, 25), (2, 10**30)):
+        with pytest.raises(HopsetError, match="exceeds the limit"):
+            FrequencyPlan(p=p, b=b)
 
 
 def test_default_shift_rule():
